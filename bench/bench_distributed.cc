@@ -239,8 +239,10 @@ int main(int argc, char** argv) {
 
   // Worker-kill recovery comparison: the same kill schedule with and
   // without checkpointed retry. Both must stay bit-identical; the
-  // checkpointed run additionally reports the replay pairs its resumes
-  // skipped (CI gates replay_pairs_saved > 0).
+  // checkpointed run additionally reports replay_pairs_saved, the join
+  // pairs the dead incarnations generated in the regions its resumes
+  // skipped (CI gates replay_pairs_saved > 0). With an identical kill
+  // point it matches the join-pair gap between the two runs.
   const RecoveryResult with_checkpoint = RunRecoveryLeg(
       workload, baseline.ids, baseline.join_pairs, kShards, true);
   const RecoveryResult full_replay = RunRecoveryLeg(
@@ -250,7 +252,7 @@ int main(int argc, char** argv) {
                            full_replay.results_match;
   std::printf(
       "  recovery    checkpointed makespan=%8.4fs join_pairs=%llu "
-      "retries=%llu saved_pairs=%llu\n"
+      "retries=%llu replay_pairs_saved=%llu\n"
       "              full-replay  makespan=%8.4fs join_pairs=%llu "
       "retries=%llu\n"
       "              results_match=%s\n",

@@ -11,8 +11,15 @@
 // the coordination cost alone). The result *set* is checked identical to
 // the K = 1 run on every configuration.
 //
+// `checkpoint_overhead` is the price of checkpoint capture on the
+// fault-free path: the K = 4 makespan with ShardOptions::checkpoint_retry
+// on divided by the same run with it off, each the minimum over
+// alternating repetitions in this process (a same-run ratio, so it is
+// comparable across machines).
+//
 // Extra flags over bench_common: --json=<path>.
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -81,6 +88,38 @@ double MeasureDisabledTraceHookNs() {
   const double elapsed = watch.ElapsedSeconds();
   if (live != static_cast<size_t>(kCalls)) std::abort();  // keep the loop live
   return elapsed * 1e9 / static_cast<double>(kCalls);
+}
+
+/// Wall time of one full drain of `workload` through a sharded stream.
+double DrainSeconds(const Workload& workload, const ShardOptions& options) {
+  Stopwatch watch;
+  auto stream = OpenProgXeStream(workload.query(), ProgXeOptions(), options);
+  if (!stream.ok()) {
+    std::fprintf(stderr, "open: %s\n", stream.status().ToString().c_str());
+    std::exit(1);
+  }
+  std::vector<ResultTuple> batch;
+  while ((*stream)->NextBatch(0, &batch) > 0) {
+  }
+  return watch.ElapsedSeconds();
+}
+
+/// K = 4 makespan with checkpoint capture on / off: min over `reps`
+/// alternating repetitions of each.
+double MeasureCheckpointOverhead(const Workload& workload, int reps) {
+  double best_on = 1e300;
+  double best_off = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (const bool capture : {true, false}) {
+      ShardOptions options;
+      options.num_shards = 4;
+      options.checkpoint_retry = capture;
+      const double seconds = DrainSeconds(workload, options);
+      double& best = capture ? best_on : best_off;
+      best = std::min(best, seconds);
+    }
+  }
+  return best_on / best_off;
 }
 
 }  // namespace
@@ -160,6 +199,9 @@ int main(int argc, char** argv) {
         run.held_peak, run.merge_time);
   }
 
+  const double checkpoint_overhead = MeasureCheckpointOverhead(workload, 9);
+  std::printf("  checkpoint_overhead(K=4, capture on/off)=%.3f\n",
+              checkpoint_overhead);
   const double hook_ns = MeasureDisabledHookNs();
   std::printf("  fault_hook(disabled)=%.3fns/call\n", hook_ns);
   const double trace_ns = MeasureDisabledTraceHookNs();
@@ -176,10 +218,11 @@ int main(int argc, char** argv) {
                  "  \"dims\": %d,\n  \"sigma\": %g,\n  \"seed\": %llu,\n"
                  "  \"fault_hook_ns_per_call\": %.3f,\n"
                  "  \"trace_hook_ns_per_call\": %.3f,\n"
+                 "  \"checkpoint_overhead\": %.4f,\n"
                  "  \"runs\": [\n",
                  params.cardinality, params.dims, params.sigma,
                  static_cast<unsigned long long>(params.seed), hook_ns,
-                 trace_ns);
+                 trace_ns, checkpoint_overhead);
     for (size_t i = 0; i < runs.size(); ++i) {
       const ShardRun& r = runs[i];
       std::fprintf(out,

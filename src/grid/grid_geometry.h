@@ -68,24 +68,34 @@ class GridGeometry {
 
   /// Iterates every cell index in the inclusive coordinate box
   /// [lo, hi] (per dimension), invoking fn(CellIndex) in row-major order.
-  /// The linear index is maintained incrementally by the per-dimension
-  /// strides instead of re-linearizing every cell (this sits under every
-  /// coverage box walk, so the per-cell IndexOf was a top-two profile
-  /// entry).
   template <typename Fn>
   void ForEachCellInBox(const CellCoord* lo, const CellCoord* hi,
                         Fn&& fn) const {
+    ForEachRowInBox(lo, hi, [&fn](CellIndex first, int64_t len) {
+      for (int64_t i = 0; i < len; ++i) fn(first + i);
+    });
+  }
+
+  /// Like ForEachCellInBox, but hands over whole runs along the last
+  /// (contiguous) dimension: fn(first CellIndex, run length), in row-major
+  /// order. The linear index is maintained incrementally by the
+  /// per-dimension strides instead of re-linearizing every cell (this sits
+  /// under every coverage box walk, so the per-cell IndexOf was a top-two
+  /// profile entry), and a box reduction over a dense per-cell array runs
+  /// as tight inner loops.
+  template <typename Fn>
+  void ForEachRowInBox(const CellCoord* lo, const CellCoord* hi,
+                       Fn&& fn) const {
     const int dims = dimensions();
     assert(dims > 0);
-    std::vector<CellCoord> cur(static_cast<size_t>(dims));
-    for (int i = 0; i < dims; ++i) {
-      assert(lo[i] <= hi[i]);
-      cur[static_cast<size_t>(i)] = lo[i];
-    }
+    for (int i = 0; i < dims; ++i) assert(lo[i] <= hi[i]);
+    const int last = dims - 1;
+    const int64_t run = static_cast<int64_t>(hi[last] - lo[last] + 1);
+    std::vector<CellCoord> cur(lo, lo + dims);
     CellIndex idx = IndexOf(lo);
     for (;;) {
-      fn(idx);
-      int dim = dims - 1;
+      fn(idx, run);
+      int dim = last - 1;
       while (dim >= 0) {
         const CellIndex st = stride_[static_cast<size_t>(dim)];
         if (++cur[static_cast<size_t>(dim)] <= hi[dim]) {

@@ -134,9 +134,9 @@ size_t RemoteShardStream::NextBatch(size_t max_results, size_t max_pairs,
       }
       has_checkpoint_ = true;
     }
-    // No checkpoint this pump (mid-region budget cut, result cap, or
-    // exhaustion): keep the previous one — it is still a valid, if less
-    // advanced, resume point.
+    // No checkpoint this pump (skip set unchanged, mid-region budget cut,
+    // result cap, or exhaustion): the coordinator keeps the previous one —
+    // it is still a valid, if less advanced, resume point.
   }
   if (!reader.AtEnd()) {
     status_ =
@@ -147,9 +147,15 @@ size_t RemoteShardStream::NextBatch(size_t max_results, size_t max_pairs,
   return out->size();
 }
 
-bool RemoteShardStream::ExportCheckpoint(SessionCheckpoint* out) {
-  if (!has_checkpoint_) return false;
-  *out = last_checkpoint_;
+bool RemoteShardStream::ExportCheckpoint(SessionCheckpoint* out,
+                                         size_t* skips_held) {
+  if (!has_checkpoint_ ||
+      last_checkpoint_.skip_regions.size() <= *skips_held) {
+    return false;
+  }
+  *skips_held = last_checkpoint_.skip_regions.size();
+  *out = std::move(last_checkpoint_);
+  has_checkpoint_ = false;
   return true;
 }
 

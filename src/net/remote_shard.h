@@ -56,9 +56,11 @@ class RemoteShardStream : public ShardEngine {
   Status last_status() const override { return status_; }
   bool RemainingLowerBound(std::vector<double>* lo) const override;
 
-  /// Answered from the checkpoint streamed with the last kPumpResult
-  /// (v2 links only; v1 workers never send one).
-  bool ExportCheckpoint(SessionCheckpoint* out) override;
+  /// Hands over the checkpoint streamed with the last kPumpResult that
+  /// carried one (v2 links only; v1 workers never send one). The worker
+  /// ships a checkpoint only when its skip set grew, so each one received
+  /// is handed over once.
+  bool ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held) override;
   bool resumed() const override { return resumed_; }
   uint64_t replay_pairs_saved() const override { return replay_pairs_saved_; }
 
@@ -81,7 +83,7 @@ class RemoteShardStream : public ShardEngine {
 
   // Resume state (v2): whether the worker actually resumed from the
   // shipped checkpoint, the pairs that saved, and the freshest checkpoint
-  // it streamed back.
+  // it streamed back that was not handed over yet.
   bool resumed_ = false;
   uint64_t replay_pairs_saved_ = 0;
   bool has_checkpoint_ = false;

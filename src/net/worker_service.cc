@@ -34,6 +34,8 @@ struct OpenState {
   Preference pref;
   std::unique_ptr<ProgXeSession> session;
   int shard_index = 0;
+  /// Skip-set size of the last checkpoint shipped to the coordinator.
+  size_t checkpoint_skips_sent = 0;
 };
 
 Status SendError(int fd, const Status& status) {
@@ -382,11 +384,12 @@ void WorkerServer::HandleConnection(int fd) {
           WriteWatermark(has_bound, bound, &w);
           WriteStats(session.stats(), &w);
           if (wire_version >= 2) {
-            // Stream the freshest resume point back with every healthy
-            // pump; at a mid-region budget cut there is none — the
-            // coordinator keeps the previous one.
+            // Stream the resume point back whenever its skip set grew. When
+            // it did not, or at a mid-region budget cut, has_checkpoint=0
+            // tells the coordinator to keep the previous one.
             SessionCheckpoint checkpoint;
-            const bool has_checkpoint = session.ExportCheckpoint(&checkpoint);
+            const bool has_checkpoint = session.ExportCheckpoint(
+                &checkpoint, &state->checkpoint_skips_sent);
             w.PutU8(has_checkpoint ? 1 : 0);
             if (has_checkpoint) WriteCheckpoint(checkpoint, &w);
           }

@@ -44,6 +44,10 @@ struct Region {
   /// (Algorithm 1, line 9).
   bool discarded = false;
 
+  /// Join pairs tuple-level processing generated for this region (the
+  /// pairs a checkpoint that skips it saves a resumed incarnation).
+  uint64_t join_pairs = 0;
+
   // --- ProgOrder state (Section IV) ---------------------------------------
   /// Estimated number of skyline results (Equation 1).
   double cardinality_est = 0.0;

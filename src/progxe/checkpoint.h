@@ -16,13 +16,27 @@
 //       !populated || emitted || marked — i.e. every live tuple it could
 //       have contributed is already flushed (delivered) or dead.
 //
-// Both conditions are permanent once true (emitted/marked never un-set), so
-// positive verdicts are cached across exports. A resumed incarnation may
-// still emit tuples *outside* the true local skyline (a suppressor from a
-// skipped region is absent); the sharded merge compensates by keeping the
-// resumed shard's own watermark in the release check (see
-// shard/sharded_stream.h) and by its per-shard dedup set, so the merged
-// delivered set stays bit-identical.
+// A positive verdict is final: the region is never re-examined and the skip
+// list only grows within one incarnation.
+//
+// Skip-safety is maintained incrementally (RegionLoop::ExportCheckpoint).
+// Call a cell *pending* while populated && !emitted && !marked. Nothing is
+// tracked before the loop's first export, so sessions that never export pay
+// nothing. From the first export on, OutputTable logs every pending-state
+// flip (insert 0->1, eviction ->0, FlushCell, KillCell); the loop keeps a
+// pending-cell count per processed, not-yet-safe region, computed by one
+// walk of its box at the first export after it finishes, adjusts the counts
+// from the drained log at each export, and promotes regions whose count is
+// zero. Discarded-unprocessed regions are promoted when removed. An export
+// therefore costs O(flips since the last export x unsafe regions sharing a
+// bucket with the flipped cell + one box walk per newly processed region),
+// independent of how many regions were processed before.
+//
+// A resumed incarnation may still emit tuples *outside* the true local
+// skyline (a suppressor from a skipped region is absent); the sharded merge
+// compensates by keeping the resumed shard's own watermark in the release
+// check (see shard/sharded_stream.h) and by its per-shard dedup set, so the
+// merged delivered set stays bit-identical.
 //
 // Checkpoints travel over the wire (v2 `kOpenShard` field group) to resume
 // remote shards; all fields are validated on restore and a stale or corrupt
@@ -48,8 +62,9 @@ struct SessionCheckpoint {
   /// Total region count of the prepared lookahead (validation: a checkpoint
   /// only resumes the exact same PreparedInputs).
   uint64_t region_count = 0;
-  /// Join pairs the listed processed regions generated in the capturing
-  /// incarnation — the pairs a resumed incarnation will not re-generate.
+  /// Join pairs the listed processed regions actually generated in the
+  /// capturing incarnation (Region::join_pairs) — the pairs a resumed
+  /// incarnation will not re-generate.
   uint64_t replay_pairs_saved = 0;
   /// Skip-safe region ids, sorted strictly increasing.
   std::vector<int32_t> skip_regions;

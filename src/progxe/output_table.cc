@@ -111,6 +111,9 @@ void OutputTable::KillCell(CellIndex c) {
   const int32_t s = slot(c);
   if (s >= 0) {
     CellData& cell = cells_[static_cast<size_t>(s)];
+    if (cell.alive_count != 0 && !emitted_[static_cast<size_t>(c)]) {
+      LogFlip(c, -1);
+    }
     stats_->tuples_evicted += cell.alive_count;
     cell.values.clear();
     cell.ids.clear();
@@ -317,6 +320,7 @@ InsertOutcome OutputTable::InsertAlive(const double* values, RowId r_id,
           ++stats_->tuples_evicted;
         }
       }
+      if (cell.alive_count == 0) LogFlip(cell.index, -1);
       if (cell.dead_count > cell.ids.size() / 2) cell.Compact(k_);
       return true;
     });
@@ -328,7 +332,7 @@ InsertOutcome OutputTable::InsertAlive(const double* values, RowId r_id,
   cell->values.insert(cell->values.end(), values, values + k_);
   cell->ids.push_back(CellTupleIds{r_id, t_id});
   cell->alive.push_back(1);
-  ++cell->alive_count;
+  if (++cell->alive_count == 1) LogFlip(c, +1);
   if (newly_populated) OnCellPopulated(c, coords);
   return InsertOutcome::kInserted;
 }
@@ -341,6 +345,7 @@ void OutputTable::FlushCell(CellIndex c, std::vector<double>* values_out,
   const int32_t s = slot(c);
   if (s < 0) return;
   CellData& cell = cells_[static_cast<size_t>(s)];
+  if (cell.alive_count != 0) LogFlip(c, -1);
   const size_t kk = static_cast<size_t>(k_);
   for (size_t i = 0; i < cell.ids.size(); ++i) {
     if (!cell.alive[i]) continue;
@@ -360,6 +365,11 @@ std::vector<CellIndex> OutputTable::DrainMarkedEvents() {
   std::vector<CellIndex> out;
   out.swap(marked_events_);
   return out;
+}
+
+void OutputTable::DrainStateLog(std::vector<PendingFlip>* out) {
+  out->swap(state_log_);
+  state_log_.clear();
 }
 
 std::vector<CellIndex> OutputTable::PopulatedCells() const {

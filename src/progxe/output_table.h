@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/macros.h"
 #include "dominance/dominance_index.h"
 #include "grid/grid_geometry.h"
 #include "outputspace/region.h"
@@ -160,6 +161,36 @@ class OutputTable {
   /// All cells currently holding live tuples (diagnostic / final sweep).
   std::vector<CellIndex> PopulatedCells() const;
 
+  // --- Pending-state log (checkpoint skip-safety) --------------------------
+  //
+  // A cell is *pending* while it holds live tuples that have neither been
+  // flushed nor killed: populated && !emitted && !marked. Checkpoint export
+  // (RegionLoop::ExportCheckpoint) needs to know which processed regions
+  // still cover a pending cell. Instead of re-walking their boxes, it reads
+  // this log of pending-state flips. Exactly four events flip a cell:
+  //   +1  alive count 0 -> 1 on insert;
+  //   -1  alive count -> 0 by a cross-cell eviction (so `populated` is not
+  //       monotone);
+  //   -1  FlushCell of a populated cell;
+  //   -1  KillCell of a populated cell.
+  // The log is off until EnableStateLog(), so tables whose session never
+  // exports a checkpoint record nothing.
+
+  /// One pending-state flip: `delta` is +1 (became pending) or -1.
+  struct PendingFlip {
+    CellIndex cell;
+    int32_t delta;
+  };
+
+  bool pending(CellIndex c) const {
+    return populated(c) && !emitted(c) && !marked(c);
+  }
+  void EnableStateLog() { state_log_enabled_ = true; }
+  bool state_log_enabled() const { return state_log_enabled_; }
+  /// Moves the flips logged since the last drain into `*out` (cleared
+  /// first), in event order.
+  void DrainStateLog(std::vector<PendingFlip>* out);
+
   DomCounter* dom_counter() { return &dom_counter_; }
 
  private:
@@ -223,6 +254,14 @@ class OutputTable {
   DominanceIndex pop_index_;
 
   std::vector<CellIndex> marked_events_;
+
+  bool state_log_enabled_ = false;
+  std::vector<PendingFlip> state_log_;
+  void LogFlip(CellIndex c, int32_t delta) {
+    if (PROGXE_PREDICT_FALSE(state_log_enabled_)) {
+      state_log_.push_back(PendingFlip{c, delta});
+    }
+  }
 
   // Reusable scratch: single-insert coordinates and the batch pipeline's
   // per-block coordinate / cell-index buffers.

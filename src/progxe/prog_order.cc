@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 
 #include "progxe/cardinality.h"
@@ -36,6 +38,16 @@ ProgOrder::ProgOrder(std::vector<Region>* regions, ElGraph* el_graph,
   in_queue_.assign(regions_->size(), 0);
   for (Region& region : *regions_) {
     if (!region.Active()) continue;
+    // Precondition: every active region names a partition of each input.
+    if (region.a < 0 || static_cast<size_t>(region.a) >= r_sizes_.size() ||
+        region.b < 0 || static_cast<size_t>(region.b) >= t_sizes_.size()) {
+      std::fprintf(stderr,
+                   "ProgOrder: region %d names partitions (%d, %d) outside "
+                   "the %zu x %zu input partitions\n",
+                   region.id, region.a, region.b, r_sizes_.size(),
+                   t_sizes_.size());
+      std::abort();
+    }
     AddUpSetCoverage(region, +1);
 
     // Static per-region estimates (Equations 1 and 3-7).

@@ -27,7 +27,9 @@ namespace progxe {
 class ProgOrder {
  public:
   /// `regions` outlives this object and is mutated (rank fields) through it.
-  /// `r_sizes` / `t_sizes` give |I^R_a| / |I^T_b| per partition index.
+  /// `r_sizes` / `t_sizes` give |I^R_a| / |I^T_b| per partition index. In
+  /// kProgOrder mode every active region's `a` / `b` must index them; a
+  /// violation aborts with a message instead of reading out of bounds.
   ProgOrder(std::vector<Region>* regions, ElGraph* el_graph,
             OutputTable* table, CostModelParams cost_params,
             std::vector<size_t> r_sizes, std::vector<size_t> t_sizes,

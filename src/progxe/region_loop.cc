@@ -140,6 +140,13 @@ void RegionLoop::RemoveRegion(Region& region,
   removed_[static_cast<size_t>(region.id)] = 1;
   assert(active_regions_ > 0);
   --active_regions_;
+  if (capturing_) {
+    if (region.processed) {
+      unwalked_.push_back(region.id);
+    } else if (region.discarded) {
+      newly_safe_.push_back(region.id);  // discarded unprocessed: safe
+    }
+  }
   table_.ReleaseRegionCoverage(region, &settled_scratch_);
   table_.DrainMarkedEvents(&marked_scratch_);
   determine_.OnCellsMarked(marked_scratch_);
@@ -256,7 +263,131 @@ void RegionLoop::ApplySeedDiscards(std::vector<ResultTuple>* pending) {
   seed_discard_.shrink_to_fit();
 }
 
-bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out) {
+void RegionLoop::StartCapture() {
+  capturing_ = true;
+  table_.EnableStateLog();
+  const GridGeometry& geom = table_.geometry();
+  pending_cells_.assign(static_cast<size_t>(geom.total_cells()), 0);
+  for (CellIndex c : table_.PopulatedCells()) {
+    pending_cells_[static_cast<size_t>(c)] = table_.pending(c) ? 1 : 0;
+  }
+  unsafe_pending_.assign(regions_->size(), -1);
+  unsafe_boxes_.resize(regions_->size() * 2 *
+                       static_cast<size_t>(geom.dimensions()));
+  const size_t side = static_cast<size_t>(geom.cells_per_dim());
+  unsafe_buckets_.resize(geom.dimensions() > 1 ? side * side : side);
+  for (size_t id = 0; id < regions_->size(); ++id) {
+    if (!removed_[id]) continue;
+    const Region& region = (*regions_)[id];
+    if (region.processed) {
+      unwalked_.push_back(static_cast<int32_t>(id));
+    } else if (region.discarded) {
+      newly_safe_.push_back(static_cast<int32_t>(id));
+    }
+  }
+}
+
+void RegionLoop::RefreshSkipSafety() {
+  const GridGeometry& geom = table_.geometry();
+  const int k = geom.dimensions();
+  const CellCoord side = geom.cells_per_dim();
+  auto bucket_of = [&](CellCoord c0, CellCoord c1) {
+    return static_cast<size_t>(k > 1 ? c0 * side + c1 : c0);
+  };
+  const size_t kd = static_cast<size_t>(k);
+
+  // Flips since the last export bring the pending map up to date and
+  // adjust the pending counts of the unsafe regions whose box holds the
+  // flipped cell. Regions walked below already see the current state, so
+  // the flips are applied first.
+  table_.DrainStateLog(&flip_scratch_);
+  flip_coords_.resize(static_cast<size_t>(k));
+  CellCoord* c = flip_coords_.data();
+  for (const OutputTable::PendingFlip& flip : flip_scratch_) {
+    uint8_t& bit = pending_cells_[static_cast<size_t>(flip.cell)];
+    bit = static_cast<uint8_t>(bit + flip.delta);
+    assert(bit <= 1);
+    if (unsafe_ids_.empty()) continue;
+    geom.CoordsOfIndex(flip.cell, c);
+    std::vector<int32_t>& bucket =
+        unsafe_buckets_[bucket_of(c[0], k > 1 ? c[1] : 0)];
+    for (size_t i = 0; i < bucket.size();) {
+      const size_t id = static_cast<size_t>(bucket[i]);
+      int32_t& pending = unsafe_pending_[id];
+      if (pending < 0) {  // promoted since it was listed
+        bucket[i] = bucket.back();
+        bucket.pop_back();
+        continue;
+      }
+      // Branch-free: about a third of the listed regions hold the cell.
+      const CellCoord* box = unsafe_boxes_.data() + id * 2 * kd;
+      int32_t inside = 1;
+      for (size_t d = 2; d < kd; ++d) {
+        inside &= static_cast<int32_t>(box[d] <= c[d]) &
+                  static_cast<int32_t>(c[d] <= box[kd + d]);
+      }
+      pending += inside * flip.delta;
+      ++i;
+    }
+  }
+
+  // One box walk over the pending map per region processed since the last
+  // export.
+  const uint8_t* pending_map = pending_cells_.data();
+  for (int32_t id : unwalked_) {
+    const Region& region = (*regions_)[static_cast<size_t>(id)];
+    const CellCoord* lo = region.lo_cell.data();
+    const CellCoord* hi = region.hi_cell.data();
+    int32_t pending = 0;
+    geom.ForEachRowInBox(lo, hi, [&](CellIndex first, int64_t len) {
+      const uint8_t* row = pending_map + first;
+      for (int64_t i = 0; i < len; ++i) pending += row[i];
+    });
+    unsafe_pending_[static_cast<size_t>(id)] = pending;
+    unsafe_ids_.push_back(id);
+    if (pending == 0) continue;  // promoted below, never listed
+    CellCoord* box = unsafe_boxes_.data() + static_cast<size_t>(id) * 2 * kd;
+    std::copy_n(lo, kd, box);
+    std::copy_n(hi, kd, box + kd);
+    const CellCoord hi1 = k > 1 ? hi[1] : 0;
+    for (CellCoord x0 = lo[0]; x0 <= hi[0]; ++x0) {
+      for (CellCoord x1 = k > 1 ? lo[1] : 0; x1 <= hi1; ++x1) {
+        unsafe_buckets_[bucket_of(x0, x1)].push_back(id);
+      }
+    }
+  }
+  unwalked_.clear();
+
+  // Promote every region that covers no pending cell any more: all the live
+  // tuples it contributed are flushed (delivered) or dead.
+  for (size_t u = 0; u < unsafe_ids_.size();) {
+    const int32_t id = unsafe_ids_[u];
+    int32_t& pending = unsafe_pending_[static_cast<size_t>(id)];
+    assert(pending >= 0);
+    if (pending != 0) {
+      ++u;
+      continue;
+    }
+    pending = -1;
+    newly_safe_.push_back(id);
+    skip_pairs_ += (*regions_)[static_cast<size_t>(id)].join_pairs;
+    unsafe_ids_[u] = unsafe_ids_.back();
+    unsafe_ids_.pop_back();
+  }
+
+  if (!newly_safe_.empty()) {
+    std::sort(newly_safe_.begin(), newly_safe_.end());
+    const size_t mid = skip_list_.size();
+    skip_list_.insert(skip_list_.end(), newly_safe_.begin(),
+                      newly_safe_.end());
+    std::inplace_merge(skip_list_.begin(),
+                       skip_list_.begin() + static_cast<ptrdiff_t>(mid),
+                       skip_list_.end());
+    newly_safe_.clear();
+  }
+}
+
+bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held) {
   // Only at a region boundary on a healthy, unfinished loop, and only when
   // no result cap is in play: with max_results set, EmitCells may truncate
   // a flush mid-cell, so "emitted" would no longer imply "delivered".
@@ -264,51 +395,19 @@ bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out) {
       options_.max_results != 0) {
     return false;
   }
-  const GridGeometry& geom = table_.geometry();
+  TraceSpan span(trace_cats::kRegion, "checkpoint.export");
+  if (!capturing_) StartCapture();
+  RefreshSkipSafety();
+  span.arg("skips", static_cast<int64_t>(skip_list_.size()));
+  if (skips_held != nullptr) {
+    if (skip_list_.size() <= *skips_held) return false;
+    *skips_held = skip_list_.size();
+  }
   out->k = static_cast<uint32_t>(prep_->inputs->k);
   out->frontier_epoch = table_.frontier_epoch();
   out->region_count = regions_->size();
-  out->replay_pairs_saved = 0;
-  out->skip_regions.clear();
-  if (skip_safe_.size() != regions_->size()) {
-    skip_safe_.assign(regions_->size(), 0);
-  }
-  const auto& r_parts = prep_->inputs->r_grid->partitions();
-  const auto& t_parts = prep_->inputs->t_grid->partitions();
-  for (size_t id = 0; id < regions_->size(); ++id) {
-    if (!removed_[id]) continue;
-    const Region& region = (*regions_)[id];
-    if (!skip_safe_[id]) {
-      bool safe = false;
-      if (region.discarded && !region.processed) {
-        // Discarded without processing: every would-be tuple is strictly
-        // dominated by frontier points that are themselves delivered or
-        // regenerated by the resumed incarnation.
-        safe = true;
-      } else if (region.processed) {
-        // Processed: safe iff no live tuple it could have contributed is
-        // still waiting to flush — every populated cell in its coverage box
-        // must be emitted (delivered) or marked (dead).
-        safe = true;
-        geom.ForEachCellInBox(
-            region.lo_cell.data(), region.hi_cell.data(), [&](CellIndex c) {
-              if (safe && table_.populated(c) && !table_.emitted(c) &&
-                  !table_.marked(c)) {
-                safe = false;
-              }
-            });
-      }
-      if (!safe) continue;
-      skip_safe_[id] = 1;
-    }
-    out->skip_regions.push_back(static_cast<int32_t>(id));
-    if (region.processed) {
-      out->replay_pairs_saved +=
-          static_cast<uint64_t>(
-              r_parts[static_cast<size_t>(region.a)].size()) *
-          static_cast<uint64_t>(t_parts[static_cast<size_t>(region.b)].size());
-    }
-  }
+  out->replay_pairs_saved = skip_pairs_;
+  out->skip_regions = skip_list_;
   return true;
 }
 
@@ -341,6 +440,7 @@ Status RegionLoop::RestoreCheckpoint(const SessionCheckpoint& checkpoint) {
     Region& region = (*regions_)[static_cast<size_t>(id)];
     region.discarded = true;
     removed_[static_cast<size_t>(id)] = 1;
+    if (capturing_) newly_safe_.push_back(id);
     assert(active_regions_ > 0);
     --active_regions_;
     table_.ReleaseRegionCoverage(region, &settled_scratch_);
@@ -405,6 +505,7 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
           span.arg("region", next);
           const uint64_t pairs = pipeline_.ProcessRegion(pa, pb, &table_);
           stats_->join_pairs_generated += pairs;
+          picked.join_pairs += pairs;
           span.arg("pairs", static_cast<int64_t>(pairs));
         }
         FinishRegion(picked, pending);
@@ -429,6 +530,7 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
       span.arg("region", current_region_);
       const uint64_t pairs = pipeline_.ProcessSome(max_pairs, &table_);
       stats_->join_pairs_generated += pairs;
+      region.join_pairs += pairs;
       span.arg("pairs", static_cast<int64_t>(pairs));
       if (!pipeline_.RegionExhausted()) return true;  // yielded mid-region
     }

@@ -63,10 +63,17 @@ class RegionLoop {
 
   /// Fills `*out` with a resumable snapshot of the loop's region cursor.
   /// Only valid at a region boundary (no region open in the pipeline) on a
-  /// healthy, unfinished loop — returns false otherwise. Skip-safety
-  /// verdicts (see progxe/checkpoint.h) are computed lazily per removed
-  /// region and cached: once safe, always safe.
-  bool ExportCheckpoint(SessionCheckpoint* out);
+  /// healthy, unfinished loop — returns false otherwise. Skip-safety (see
+  /// progxe/checkpoint.h) is maintained incrementally from the first export
+  /// on: an export costs one box walk per region processed since the
+  /// previous export, plus, per pending-state flip since then, a scan of
+  /// the not-yet-safe regions listed in the flipped cell's bucket.
+  ///
+  /// `skips_held`, when given, is the skip-set size of the checkpoint the
+  /// caller already holds from this loop. Skip sets only grow, so an equal
+  /// size means an identical set: the call then returns false and leaves
+  /// `*out` untouched; otherwise it exports and updates `*skips_held`.
+  bool ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held = nullptr);
 
   /// Pre-removes the checkpoint's skip-safe regions from a freshly
   /// constructed loop (call before the first Step). Validates the
@@ -83,6 +90,10 @@ class RegionLoop {
   uint64_t replay_pairs_saved() const { return replay_pairs_saved_; }
   uint32_t resumed_regions_skipped() const { return resumed_regions_skipped_; }
   bool resumed() const { return resumed_; }
+
+  /// Read-only view of the output table, for tests that recompute
+  /// checkpoint skip-safety from scratch.
+  const OutputTable& table_for_testing() const { return table_; }
 
  private:
   bool ReachedLimit() const;
@@ -126,10 +137,46 @@ class RegionLoop {
   /// Marks a region removed exactly once across all removal paths.
   std::vector<uint8_t> removed_;
 
-  /// Cached positive skip-safety verdicts per region (monotone: emitted and
-  /// marked are never un-set, so a region that is skip-safe stays so).
-  /// Sized lazily by the first ExportCheckpoint.
-  std::vector<uint8_t> skip_safe_;
+  // Checkpoint capture (ExportCheckpoint). Everything here stays empty and
+  // the table's pending-state log stays off until the first export, so a
+  // loop that never exports pays nothing. From then on skip-safety is
+  // event-driven: a discarded-unprocessed region is safe when removed; a
+  // processed region gets one box walk at the next export, counting the
+  // pending cells it covers, and is safe once that count drains to zero
+  // through the table's flip log. Verdicts are final: a safe region is
+  // never re-examined.
+  /// Switches capture on: enables the table log and queues every region
+  /// removed so far.
+  void StartCapture();
+  /// Brings the skip set up to date with the table state (see above).
+  void RefreshSkipSafety();
+
+  bool capturing_ = false;
+  /// Processed regions awaiting their box walk.
+  std::vector<int32_t> unwalked_;
+  /// Regions found skip-safe since the last export, unsorted.
+  std::vector<int32_t> newly_safe_;
+  /// Every skip-safe region, strictly increasing; only ever grows.
+  std::vector<int32_t> skip_list_;
+  /// Join pairs the processed regions in skip_list_ generated.
+  uint64_t skip_pairs_ = 0;
+  /// Processed, not yet skip-safe regions ("unsafe").
+  std::vector<int32_t> unsafe_ids_;
+  /// Per region: the pending cells its box covers while unsafe, else -1.
+  std::vector<int32_t> unsafe_pending_;
+  /// Unsafe region ids listed under every coordinate pair of the first two
+  /// dimensions their box spans (the first dimension alone when k == 1), so
+  /// a flip only tests the regions that can contain its cell. Promoted
+  /// regions are dropped lazily by the scans.
+  std::vector<std::vector<int32_t>> unsafe_buckets_;
+  /// Per region id: its cell box, k lo then k hi coordinates (filled for
+  /// listed regions only).
+  std::vector<CellCoord> unsafe_boxes_;
+  /// Per cell: 1 iff pending (OutputTable::pending) as of the last export,
+  /// kept current by the flip log; box walks sum it row by row.
+  std::vector<uint8_t> pending_cells_;
+  std::vector<OutputTable::PendingFlip> flip_scratch_;
+  std::vector<CellCoord> flip_coords_;
 
   // Resume bookkeeping (RestoreCheckpoint).
   bool resumed_ = false;

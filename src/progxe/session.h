@@ -129,7 +129,10 @@ class ProgXeSession : public ProgXeStream {
   /// progxe/checkpoint.h). Only valid on a healthy, open session at a
   /// region boundary with all flushed results delivered — returns false
   /// otherwise. `out->delivered` counts this incarnation's deliveries.
-  bool ExportCheckpoint(SessionCheckpoint* out);
+  /// `skips_held` as in RegionLoop::ExportCheckpoint: when given, a
+  /// checkpoint whose skip set has not grown past it is not exported
+  /// (false, `*out` untouched).
+  bool ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held = nullptr);
 
   /// True iff this session was opened from a checkpoint that actually
   /// skipped regions; such a session may deliver tuples outside its true

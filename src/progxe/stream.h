@@ -115,7 +115,8 @@ struct ShardCoverage {
   int abandoned = 0;   ///< Dropped after retry exhaustion (allow_partial).
   int remote = 0;      ///< Sub-streams served by remote shard workers.
   uint64_t retries = 0;  ///< Shard re-opens performed over the stream's life.
-  /// Join pairs that checkpointed resumes skipped re-generating, summed
+  /// Join pairs that checkpointed resumes skipped re-generating — the pairs
+  /// the dead incarnations actually joined in the skipped regions — summed
   /// over all re-opens (0 without ShardOptions::checkpoint_retry).
   uint64_t replay_pairs_saved = 0;
   std::vector<int> abandoned_shards;  ///< Indices of the dropped shards.

@@ -44,7 +44,8 @@
 // idempotent, so the merged delivered set stays bit-identical to a
 // fault-free run with zero retractions. With
 // ShardOptions::checkpoint_retry the coordinator additionally captures a
-// resumable SessionCheckpoint from each healthy pump and hands it to the
+// resumable SessionCheckpoint from each healthy pump whose skip set grew
+// (an unchanged one is neither re-sent nor copied) and hands it to the
 // re-opened incarnation (locally restored in-process, shipped in
 // kOpenShard for remote shards), so the replay skips the regions the dead
 // incarnation provably finished — bounding the re-joined pairs instead of
@@ -211,6 +212,10 @@ class ShardedStream : public ProgXeStream {
     /// a retry re-open so it skips the finished regions.
     SessionCheckpoint checkpoint;
     bool has_checkpoint = false;
+    /// Skip-set size of the freshest checkpoint adopted from the *current*
+    /// incarnation (0 right after an open): a pump whose export did not
+    /// grow it adopts nothing and copies nothing.
+    size_t checkpoint_skips = 0;
     /// True once any incarnation of this shard resumed from a checkpoint.
     /// A resumed incarnation may emit tuples that are not locally final,
     /// so GloballyFinal then also tests the candidate's *own* shard bound.

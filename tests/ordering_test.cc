@@ -148,6 +148,10 @@ TEST(ProgOrder, PrefersUnthreatenedCheapRegions) {
                 double hi_y) {
     Region region;
     region.id = id;
+    // One input partition pair per region, indexing ProgOrder's size
+    // tables below.
+    region.a = id;
+    region.b = id;
     region.bounds = {Interval(lo_x, hi_x), Interval(lo_y, hi_y)};
     region.lo_cell.resize(2);
     region.hi_cell.resize(2);

@@ -16,6 +16,13 @@ table on the hot path costs 10-100x, far above runner jitter.
 disabled TraceSpan must stay one predicted branch, never a thread-local
 ring-buffer append.
 
+`checkpoint_overhead` (when present) is the K=4 makespan with checkpoint
+capture on divided by the same run with it off, each the minimum over
+alternating repetitions of one bench_sharded process. It is held at or
+below --checkpoint_budget (default 1.10): the fault-free path must not pay
+for recovery machinery it is not using. Capture that re-scans region boxes
+on every pump costs about 2x here.
+
 The cross-query reuse burst (the `reuse` key, written by bench_multiquery)
 is gated on two machine-independent booleans: the warm run must have hit
 the prepared-state cache at least once (`prepare_skipped >= 1` — zero
@@ -29,8 +36,10 @@ served by remote worker processes must deliver exactly the in-process
 result set — distribution is a placement decision, never a results
 decision. Its nested `recovery` key (a worker killed mid-stream, shards
 recovering via checkpointed retry) is gated the same way, plus
-`replay_pairs_saved > 0`: a resume that saves nothing means checkpoints
-are not actually shipping and every retry replays from scratch.
+`replay_pairs_saved > 0`: the join pairs that the dead incarnations
+generated in the regions the resumes skipped. Zero means checkpoints are
+not actually shipping, or skip nothing that was joined, and every retry
+replays from scratch.
 
 Accepts a bare bench_sharded JSON ({"runs": [...]}), a full
 BENCH_progxe.json (takes its "sharded" key, plus "reuse"/"distributed"
@@ -41,6 +50,7 @@ there is no reuse section either).
 Usage: check_merge_budget.py <json> [--shards=4] [--budget=200000]
                                     [--hook_budget_ns=15]
                                     [--trace_budget_ns=15]
+                                    [--checkpoint_budget=1.10]
 """
 
 import json
@@ -53,6 +63,7 @@ def main(argv):
     budget = 200000
     hook_budget_ns = 15.0
     trace_budget_ns = 15.0
+    checkpoint_budget = 1.10
     for arg in argv[1:]:
         if arg.startswith("--shards="):
             shards = int(arg.split("=", 1)[1])
@@ -62,6 +73,8 @@ def main(argv):
             hook_budget_ns = float(arg.split("=", 1)[1])
         elif arg.startswith("--trace_budget_ns="):
             trace_budget_ns = float(arg.split("=", 1)[1])
+        elif arg.startswith("--checkpoint_budget="):
+            checkpoint_budget = float(arg.split("=", 1)[1])
         elif path is None:
             path = arg
         else:
@@ -113,6 +126,15 @@ def main(argv):
                 f"(> {trace_budget_ns}ns) — with tracing off it must stay a "
                 f"single predicted branch, not touch the ring buffer")
 
+    overhead = data.get("checkpoint_overhead")
+    if overhead is not None:
+        print(f"checkpoint_overhead={overhead} budget={checkpoint_budget}")
+        if overhead > checkpoint_budget:
+            raise SystemExit(
+                f"FAIL: checkpoint capture makes the fault-free K=4 run "
+                f"{overhead:.3f}x slower (> {checkpoint_budget}x) — export "
+                f"must stay incremental, not re-scan region boxes per pump")
+
     if isinstance(distributed, dict):
         match = distributed.get("results_match", False)
         retries = distributed.get("retries", 0)
@@ -127,7 +149,8 @@ def main(argv):
             rec_match = recovery.get("results_match", False)
             saved = recovery.get("replay_pairs_saved", 0)
             print(f"recovery: results_match={rec_match} "
-                  f"replay_pairs_saved={saved}")
+                  f"replay_pairs_saved={saved} (join pairs the resumes "
+                  f"did not re-generate)")
             if not rec_match:
                 raise SystemExit(
                     "FAIL: a worker-kill recovery run delivered a different "
@@ -135,9 +158,10 @@ def main(argv):
                     "resume must never change what a query returns")
             if saved <= 0:
                 raise SystemExit(
-                    "FAIL: the checkpointed recovery run saved no replay "
-                    "pairs (replay_pairs_saved <= 0) — resumes are "
-                    "replaying from scratch, the checkpoint path is dead")
+                    "FAIL: the checkpointed recovery run skipped no region "
+                    "that the dead incarnation had joined "
+                    "(replay_pairs_saved <= 0) — resumes are replaying from "
+                    "scratch, the checkpoint path is dead")
 
     if reuse is not None:
         skipped = reuse.get("prepare_skipped", 0)

@@ -116,7 +116,8 @@ entry = {"timestamp":
          .strftime("%Y-%m-%dT%H:%M:%SZ")}
 sharded = summary.get("sharded")
 if isinstance(sharded, dict):
-    for key in ("fault_hook_ns_per_call", "trace_hook_ns_per_call"):
+    for key in ("fault_hook_ns_per_call", "trace_hook_ns_per_call",
+                "checkpoint_overhead"):
         if key in sharded:
             entry[key] = sharded[key]
     for run in sharded.get("runs", []):
