@@ -12,12 +12,15 @@
 // the K = 1 run on every configuration.
 //
 // `checkpoint_overhead` is the price of checkpoint capture on the
-// fault-free path: the K = 4 makespan with ShardOptions::checkpoint_retry
-// on divided by the same run with it off, each the minimum over
-// alternating repetitions in this process (a same-run ratio, so it is
-// comparable across machines).
+// fault-free path: the K = 4 drain with ShardOptions::checkpoint_retry on
+// divided by the same drain with it off, in process CPU time: the median
+// ratio over back-to-back pairs in this process. A same-run ratio of CPU
+// time (the drain is single-threaded) is comparable across machines and
+// does not count the time a contended host takes the CPU away.
 //
 // Extra flags over bench_common: --json=<path>.
+#include <time.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -90,9 +93,17 @@ double MeasureDisabledTraceHookNs() {
   return elapsed * 1e9 / static_cast<double>(kCalls);
 }
 
-/// Wall time of one full drain of `workload` through a sharded stream.
-double DrainSeconds(const Workload& workload, const ShardOptions& options) {
-  Stopwatch watch;
+double ProcessCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Process CPU time of one full drain of `workload` through a sharded
+/// stream.
+double DrainCpuSeconds(const Workload& workload, const ShardOptions& options) {
+  const double start = ProcessCpuSeconds();
   auto stream = OpenProgXeStream(workload.query(), ProgXeOptions(), options);
   if (!stream.ok()) {
     std::fprintf(stderr, "open: %s\n", stream.status().ToString().c_str());
@@ -101,25 +112,28 @@ double DrainSeconds(const Workload& workload, const ShardOptions& options) {
   std::vector<ResultTuple> batch;
   while ((*stream)->NextBatch(0, &batch) > 0) {
   }
-  return watch.ElapsedSeconds();
+  return ProcessCpuSeconds() - start;
 }
 
-/// K = 4 makespan with checkpoint capture on / off: min over `reps`
-/// alternating repetitions of each.
+/// K = 4 drain CPU time with checkpoint capture on / off: the median
+/// over `reps` back-to-back pairs (their order alternating) of the pair's
+/// ratio. Each pair sees the same host speed, and the median drops pairs
+/// that a burst of contention hit on one side only.
 double MeasureCheckpointOverhead(const Workload& workload, int reps) {
-  double best_on = 1e300;
-  double best_off = 1e300;
+  std::vector<double> ratios;
   for (int rep = 0; rep < reps; ++rep) {
-    for (const bool capture : {true, false}) {
+    double seconds[2] = {0.0, 0.0};  // capture on, off
+    for (int i = 0; i < 2; ++i) {
+      const bool capture = (i == 0) == (rep % 2 == 0);
       ShardOptions options;
       options.num_shards = 4;
       options.checkpoint_retry = capture;
-      const double seconds = DrainSeconds(workload, options);
-      double& best = capture ? best_on : best_off;
-      best = std::min(best, seconds);
+      seconds[capture ? 0 : 1] = DrainCpuSeconds(workload, options);
     }
+    ratios.push_back(seconds[0] / seconds[1]);
   }
-  return best_on / best_off;
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
 }
 
 }  // namespace
@@ -199,7 +213,7 @@ int main(int argc, char** argv) {
         run.held_peak, run.merge_time);
   }
 
-  const double checkpoint_overhead = MeasureCheckpointOverhead(workload, 9);
+  const double checkpoint_overhead = MeasureCheckpointOverhead(workload, 15);
   std::printf("  checkpoint_overhead(K=4, capture on/off)=%.3f\n",
               checkpoint_overhead);
   const double hook_ns = MeasureDisabledHookNs();

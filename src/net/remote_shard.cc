@@ -147,13 +147,8 @@ size_t RemoteShardStream::NextBatch(size_t max_results, size_t max_pairs,
   return out->size();
 }
 
-bool RemoteShardStream::ExportCheckpoint(SessionCheckpoint* out,
-                                         size_t* skips_held) {
-  if (!has_checkpoint_ ||
-      last_checkpoint_.skip_regions.size() <= *skips_held) {
-    return false;
-  }
-  *skips_held = last_checkpoint_.skip_regions.size();
+bool RemoteShardStream::ExportCheckpoint(SessionCheckpoint* out) {
+  if (!has_checkpoint_) return false;
   *out = std::move(last_checkpoint_);
   has_checkpoint_ = false;
   return true;

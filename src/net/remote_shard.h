@@ -60,7 +60,7 @@ class RemoteShardStream : public ShardEngine {
   /// carried one (v2 links only; v1 workers never send one). The worker
   /// ships a checkpoint only when its skip set grew, so each one received
   /// is handed over once.
-  bool ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held) override;
+  bool ExportCheckpoint(SessionCheckpoint* out) override;
   bool resumed() const override { return resumed_; }
   uint64_t replay_pairs_saved() const override { return replay_pairs_saved_; }
 

@@ -34,8 +34,6 @@ struct OpenState {
   Preference pref;
   std::unique_ptr<ProgXeSession> session;
   int shard_index = 0;
-  /// Skip-set size of the last checkpoint shipped to the coordinator.
-  size_t checkpoint_skips_sent = 0;
 };
 
 Status SendError(int fd, const Status& status) {
@@ -388,8 +386,7 @@ void WorkerServer::HandleConnection(int fd) {
             // it did not, or at a mid-region budget cut, has_checkpoint=0
             // tells the coordinator to keep the previous one.
             SessionCheckpoint checkpoint;
-            const bool has_checkpoint = session.ExportCheckpoint(
-                &checkpoint, &state->checkpoint_skips_sent);
+            const bool has_checkpoint = session.ExportCheckpoint(&checkpoint);
             w.PutU8(has_checkpoint ? 1 : 0);
             if (has_checkpoint) WriteCheckpoint(checkpoint, &w);
           }

@@ -23,14 +23,16 @@
 // Call a cell *pending* while populated && !emitted && !marked. Nothing is
 // tracked before the loop's first export, so sessions that never export pay
 // nothing. From the first export on, OutputTable logs every pending-state
-// flip (insert 0->1, eviction ->0, FlushCell, KillCell); the loop keeps a
-// pending-cell count per processed, not-yet-safe region, computed by one
-// walk of its box at the first export after it finishes, adjusts the counts
-// from the drained log at each export, and promotes regions whose count is
-// zero. Discarded-unprocessed regions are promoted when removed. An export
-// therefore costs O(flips since the last export x unsafe regions sharing a
-// bucket with the flipped cell + one box walk per newly processed region),
-// independent of how many regions were processed before.
+// flip (insert 0->1, eviction ->0, FlushCell, KillCell). Each export folds
+// the drained log into a per-cell pending map and per-prefix pending counts.
+// Every processed, not-yet-safe region watches one pending cell of its box
+// (its witness); it searches its box for one at the first export after it
+// finishes and again only when its witness stops being pending. The search
+// skips every subgrid whose prefix count is zero, and a region whose search
+// finds nothing is safe. Discarded-unprocessed regions are promoted when
+// removed. An export therefore costs O(flips since the last export x k + one
+// search per newly processed region and per lost witness), independent of
+// how many regions were processed before.
 //
 // A resumed incarnation may still emit tuples *outside* the true local
 // skyline (a suppressor from a skipped region is absent); the sharded merge

@@ -166,8 +166,8 @@ class OutputTable {
   // A cell is *pending* while it holds live tuples that have neither been
   // flushed nor killed: populated && !emitted && !marked. Checkpoint export
   // (RegionLoop::ExportCheckpoint) needs to know which processed regions
-  // still cover a pending cell. Instead of re-walking their boxes, it reads
-  // this log of pending-state flips. Exactly four events flip a cell:
+  // still cover a pending cell. Instead of re-walking their boxes on every
+  // export, it reads this log of pending-state flips. Exactly four events flip a cell:
   //   +1  alive count 0 -> 1 on insert;
   //   -1  alive count -> 0 by a cross-cell eviction (so `populated` is not
   //       monotone);

@@ -267,15 +267,25 @@ void RegionLoop::StartCapture() {
   capturing_ = true;
   table_.EnableStateLog();
   const GridGeometry& geom = table_.geometry();
+  const size_t side = static_cast<size_t>(geom.cells_per_dim());
+  prefix_offset_.assign(static_cast<size_t>(geom.dimensions()), 0);
+  size_t counters = 0;
+  size_t level_size = 1;
+  for (size_t j = 1; j < prefix_offset_.size(); ++j) {
+    level_size *= side;
+    prefix_offset_[j] = counters;
+    counters += level_size;
+  }
+  prefix_pending_.assign(counters, 0);
   pending_cells_.assign(static_cast<size_t>(geom.total_cells()), 0);
   for (CellIndex c : table_.PopulatedCells()) {
-    pending_cells_[static_cast<size_t>(c)] = table_.pending(c) ? 1 : 0;
+    if (!table_.pending(c)) continue;
+    pending_cells_[static_cast<size_t>(c)] = 1;
+    CountPending(c, +1);
   }
-  unsafe_pending_.assign(regions_->size(), -1);
-  unsafe_boxes_.resize(regions_->size() * 2 *
-                       static_cast<size_t>(geom.dimensions()));
-  const size_t side = static_cast<size_t>(geom.cells_per_dim());
-  unsafe_buckets_.resize(geom.dimensions() > 1 ? side * side : side);
+  watch_head_.assign(static_cast<size_t>(geom.total_cells()) / side, -1);
+  watch_next_.assign(regions_->size(), -1);
+  witness_.assign(regions_->size(), -1);
   for (size_t id = 0; id < regions_->size(); ++id) {
     if (!removed_[id]) continue;
     const Region& region = (*regions_)[id];
@@ -288,92 +298,53 @@ void RegionLoop::StartCapture() {
 }
 
 void RegionLoop::RefreshSkipSafety() {
-  const GridGeometry& geom = table_.geometry();
-  const int k = geom.dimensions();
-  const CellCoord side = geom.cells_per_dim();
-  auto bucket_of = [&](CellCoord c0, CellCoord c1) {
-    return static_cast<size_t>(k > 1 ? c0 * side + c1 : c0);
-  };
-  const size_t kd = static_cast<size_t>(k);
-
-  // Flips since the last export bring the pending map up to date and
-  // adjust the pending counts of the unsafe regions whose box holds the
-  // flipped cell. Regions walked below already see the current state, so
-  // the flips are applied first.
+  // Flips since the last export bring the pending map and the prefix counts
+  // up to date. They are folded per cell first, so a cell filled and
+  // flushed in between nets out: while folding, bit 1 of a cell's byte
+  // marks it touched and bit 2 keeps its old pending bit. The touched cells
+  // that stopped being pending stay in touched_cells_.
   table_.DrainStateLog(&flip_scratch_);
-  flip_coords_.resize(static_cast<size_t>(k));
-  CellCoord* c = flip_coords_.data();
+  touched_cells_.clear();
   for (const OutputTable::PendingFlip& flip : flip_scratch_) {
-    uint8_t& bit = pending_cells_[static_cast<size_t>(flip.cell)];
-    bit = static_cast<uint8_t>(bit + flip.delta);
-    assert(bit <= 1);
-    if (unsafe_ids_.empty()) continue;
-    geom.CoordsOfIndex(flip.cell, c);
-    std::vector<int32_t>& bucket =
-        unsafe_buckets_[bucket_of(c[0], k > 1 ? c[1] : 0)];
-    for (size_t i = 0; i < bucket.size();) {
-      const size_t id = static_cast<size_t>(bucket[i]);
-      int32_t& pending = unsafe_pending_[id];
-      if (pending < 0) {  // promoted since it was listed
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        continue;
-      }
-      // Branch-free: about a third of the listed regions hold the cell.
-      const CellCoord* box = unsafe_boxes_.data() + id * 2 * kd;
-      int32_t inside = 1;
-      for (size_t d = 2; d < kd; ++d) {
-        inside &= static_cast<int32_t>(box[d] <= c[d]) &
-                  static_cast<int32_t>(c[d] <= box[kd + d]);
-      }
-      pending += inside * flip.delta;
-      ++i;
+    uint8_t& state = pending_cells_[static_cast<size_t>(flip.cell)];
+    if ((state & 2) == 0) {
+      state = static_cast<uint8_t>(state | 2 | (state << 2));
+      touched_cells_.push_back(flip.cell);
     }
+    assert(static_cast<int32_t>(state & 1) + flip.delta >= 0 &&
+           static_cast<int32_t>(state & 1) + flip.delta <= 1);
+    state = static_cast<uint8_t>(state + flip.delta);
   }
+  size_t lost = 0;
+  for (const CellIndex cell : touched_cells_) {
+    uint8_t& state = pending_cells_[static_cast<size_t>(cell)];
+    const int32_t delta = static_cast<int32_t>(state & 1) - ((state >> 2) & 1);
+    state &= 1;
+    if (delta == 0) continue;
+    CountPending(cell, delta);
+    if (delta < 0) touched_cells_[lost++] = cell;
+  }
+  touched_cells_.resize(lost);
 
-  // One box walk over the pending map per region processed since the last
-  // export.
-  const uint8_t* pending_map = pending_cells_.data();
-  for (int32_t id : unwalked_) {
-    const Region& region = (*regions_)[static_cast<size_t>(id)];
-    const CellCoord* lo = region.lo_cell.data();
-    const CellCoord* hi = region.hi_cell.data();
-    int32_t pending = 0;
-    geom.ForEachRowInBox(lo, hi, [&](CellIndex first, int64_t len) {
-      const uint8_t* row = pending_map + first;
-      for (int64_t i = 0; i < len; ++i) pending += row[i];
-    });
-    unsafe_pending_[static_cast<size_t>(id)] = pending;
-    unsafe_ids_.push_back(id);
-    if (pending == 0) continue;  // promoted below, never listed
-    CellCoord* box = unsafe_boxes_.data() + static_cast<size_t>(id) * 2 * kd;
-    std::copy_n(lo, kd, box);
-    std::copy_n(hi, kd, box + kd);
-    const CellCoord hi1 = k > 1 ? hi[1] : 0;
-    for (CellCoord x0 = lo[0]; x0 <= hi[0]; ++x0) {
-      for (CellCoord x1 = k > 1 ? lo[1] : 0; x1 <= hi1; ++x1) {
-        unsafe_buckets_[bucket_of(x0, x1)].push_back(id);
+  // Regions whose witness stopped being pending look for another one.
+  const CellIndex side = table_.geometry().cells_per_dim();
+  rewatch_.clear();
+  for (const CellIndex cell : touched_cells_) {
+    int32_t* link = &watch_head_[static_cast<size_t>(cell / side)];
+    while (*link >= 0) {
+      const size_t id = static_cast<size_t>(*link);
+      if (witness_[id] == cell) {
+        rewatch_.push_back(*link);
+        *link = watch_next_[id];
+      } else {
+        link = &watch_next_[id];
       }
     }
   }
+  for (int32_t id : rewatch_) Watch(id);
+  // Regions processed since the last export look for their first one.
+  for (int32_t id : unwalked_) Watch(id);
   unwalked_.clear();
-
-  // Promote every region that covers no pending cell any more: all the live
-  // tuples it contributed are flushed (delivered) or dead.
-  for (size_t u = 0; u < unsafe_ids_.size();) {
-    const int32_t id = unsafe_ids_[u];
-    int32_t& pending = unsafe_pending_[static_cast<size_t>(id)];
-    assert(pending >= 0);
-    if (pending != 0) {
-      ++u;
-      continue;
-    }
-    pending = -1;
-    newly_safe_.push_back(id);
-    skip_pairs_ += (*regions_)[static_cast<size_t>(id)].join_pairs;
-    unsafe_ids_[u] = unsafe_ids_.back();
-    unsafe_ids_.pop_back();
-  }
 
   if (!newly_safe_.empty()) {
     std::sort(newly_safe_.begin(), newly_safe_.end());
@@ -387,7 +358,54 @@ void RegionLoop::RefreshSkipSafety() {
   }
 }
 
-bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held) {
+void RegionLoop::Watch(int32_t id) {
+  const Region& region = (*regions_)[static_cast<size_t>(id)];
+  const CellIndex witness = FindPending(region, 0, 0);
+  if (witness < 0) {  // no pending cell left: all its tuples are settled
+    newly_safe_.push_back(id);
+    skip_pairs_ += region.join_pairs;
+    return;
+  }
+  const CellIndex side = table_.geometry().cells_per_dim();
+  int32_t& head = watch_head_[static_cast<size_t>(witness / side)];
+  witness_[static_cast<size_t>(id)] = witness;
+  watch_next_[static_cast<size_t>(id)] = head;
+  head = id;
+}
+
+CellIndex RegionLoop::FindPending(const Region& region, int level,
+                                  CellIndex prefix) const {
+  const GridGeometry& geom = table_.geometry();
+  const CellIndex side = geom.cells_per_dim();
+  const CellCoord lo = region.lo_cell[static_cast<size_t>(level)];
+  const CellCoord hi = region.hi_cell[static_cast<size_t>(level)];
+  if (level == geom.dimensions() - 1) {
+    const uint8_t* row = pending_cells_.data() + prefix * side;
+    for (CellCoord x = lo; x <= hi; ++x) {
+      if (row[x] != 0) return prefix * side + x;
+    }
+    return -1;
+  }
+  const int32_t* counts =
+      prefix_pending_.data() + prefix_offset_[static_cast<size_t>(level) + 1];
+  for (CellCoord x = lo; x <= hi; ++x) {
+    const CellIndex child = prefix * side + x;
+    if (counts[child] == 0) continue;
+    const CellIndex found = FindPending(region, level + 1, child);
+    if (found >= 0) return found;
+  }
+  return -1;
+}
+
+void RegionLoop::CountPending(CellIndex cell, int32_t delta) {
+  const CellIndex side = table_.geometry().cells_per_dim();
+  for (size_t j = prefix_offset_.size(); j-- > 1;) {
+    cell /= side;
+    prefix_pending_[prefix_offset_[j] + static_cast<size_t>(cell)] += delta;
+  }
+}
+
+bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out) {
   // Only at a region boundary on a healthy, unfinished loop, and only when
   // no result cap is in play: with max_results set, EmitCells may truncate
   // a flush mid-cell, so "emitted" would no longer imply "delivered".
@@ -399,10 +417,8 @@ bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held) {
   if (!capturing_) StartCapture();
   RefreshSkipSafety();
   span.arg("skips", static_cast<int64_t>(skip_list_.size()));
-  if (skips_held != nullptr) {
-    if (skip_list_.size() <= *skips_held) return false;
-    *skips_held = skip_list_.size();
-  }
+  if (skip_list_.size() <= skips_exported_) return false;
+  skips_exported_ = skip_list_.size();
   out->k = static_cast<uint32_t>(prep_->inputs->k);
   out->frontier_epoch = table_.frontier_epoch();
   out->region_count = regions_->size();

@@ -65,15 +65,14 @@ class RegionLoop {
   /// Only valid at a region boundary (no region open in the pipeline) on a
   /// healthy, unfinished loop — returns false otherwise. Skip-safety (see
   /// progxe/checkpoint.h) is maintained incrementally from the first export
-  /// on: an export costs one box walk per region processed since the
-  /// previous export, plus, per pending-state flip since then, a scan of
-  /// the not-yet-safe regions listed in the flipped cell's bucket.
+  /// on: an export folds the pending-state flips since the previous one and
+  /// runs one witness search per region processed since then and per region
+  /// whose witness cell stopped being pending.
   ///
-  /// `skips_held`, when given, is the skip-set size of the checkpoint the
-  /// caller already holds from this loop. Skip sets only grow, so an equal
-  /// size means an identical set: the call then returns false and leaves
-  /// `*out` untouched; otherwise it exports and updates `*skips_held`.
-  bool ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held = nullptr);
+  /// Skip sets only grow, so a set no larger than the last one exported is
+  /// the same set: the call then returns false and leaves `*out` untouched.
+  /// A checkpoint is therefore exported once per growth of its skip set.
+  bool ExportCheckpoint(SessionCheckpoint* out);
 
   /// Pre-removes the checkpoint's skip-safe regions from a freshly
   /// constructed loop (call before the first Step). Validates the
@@ -141,42 +140,56 @@ class RegionLoop {
   // the table's pending-state log stays off until the first export, so a
   // loop that never exports pays nothing. From then on skip-safety is
   // event-driven: a discarded-unprocessed region is safe when removed; a
-  // processed region gets one box walk at the next export, counting the
-  // pending cells it covers, and is safe once that count drains to zero
-  // through the table's flip log. Verdicts are final: a safe region is
-  // never re-examined.
+  // processed region is unsafe while some cell of its box is pending, and
+  // one such cell (its witness) stands for all of them. Only when the flip
+  // log shows the witness stopped being pending does the region search its
+  // box again; finding no pending cell, it is safe. Verdicts are final: a
+  // safe region is never re-examined.
   /// Switches capture on: enables the table log and queues every region
   /// removed so far.
   void StartCapture();
   /// Brings the skip set up to date with the table state (see above).
   void RefreshSkipSafety();
+  /// Makes a pending cell of region `id`'s box its witness; a region whose
+  /// box holds none is skip-safe.
+  void Watch(int32_t id);
+  /// The first pending cell of `region`'s box under the cell-coordinate
+  /// prefix `prefix` of length `level`, or -1.
+  CellIndex FindPending(const Region& region, int level,
+                        CellIndex prefix) const;
+  /// Applies a net pending change of `cell` to the prefix counts.
+  void CountPending(CellIndex cell, int32_t delta);
 
   bool capturing_ = false;
-  /// Processed regions awaiting their box walk.
+  /// Processed regions awaiting their first witness search.
   std::vector<int32_t> unwalked_;
   /// Regions found skip-safe since the last export, unsorted.
   std::vector<int32_t> newly_safe_;
   /// Every skip-safe region, strictly increasing; only ever grows.
   std::vector<int32_t> skip_list_;
+  /// skip_list_.size() at the last export.
+  size_t skips_exported_ = 0;
   /// Join pairs the processed regions in skip_list_ generated.
   uint64_t skip_pairs_ = 0;
-  /// Processed, not yet skip-safe regions ("unsafe").
-  std::vector<int32_t> unsafe_ids_;
-  /// Per region: the pending cells its box covers while unsafe, else -1.
-  std::vector<int32_t> unsafe_pending_;
-  /// Unsafe region ids listed under every coordinate pair of the first two
-  /// dimensions their box spans (the first dimension alone when k == 1), so
-  /// a flip only tests the regions that can contain its cell. Promoted
-  /// regions are dropped lazily by the scans.
-  std::vector<std::vector<int32_t>> unsafe_buckets_;
-  /// Per region id: its cell box, k lo then k hi coordinates (filled for
-  /// listed regions only).
-  std::vector<CellCoord> unsafe_boxes_;
+  /// Every processed region that is not yet skip-safe watches one pending
+  /// cell of its box (witness_, per region). Per row of cells along the
+  /// last dimension: the first region whose witness lies in it, or -1; the
+  /// others chain through watch_next_ (per region).
+  std::vector<CellIndex> witness_;
+  std::vector<int32_t> watch_head_;
+  std::vector<int32_t> watch_next_;
+  std::vector<int32_t> rewatch_;
   /// Per cell: 1 iff pending (OutputTable::pending) as of the last export,
-  /// kept current by the flip log; box walks sum it row by row.
+  /// kept current by the flip log.
   std::vector<uint8_t> pending_cells_;
+  /// Per level j = 1..k-1: the pending cells under each prefix of the
+  /// first j cell coordinates (cells_per_dim^j counters from
+  /// prefix_offset_[j] on), so a witness search skips empty subgrids.
+  std::vector<int32_t> prefix_pending_;
+  std::vector<size_t> prefix_offset_;
   std::vector<OutputTable::PendingFlip> flip_scratch_;
-  std::vector<CellCoord> flip_coords_;
+  /// Cells the drained flips touched, each listed once.
+  std::vector<CellIndex> touched_cells_;
 
   // Resume bookkeeping (RestoreCheckpoint).
   bool resumed_ = false;

@@ -175,8 +175,7 @@ void ProgXeSession::Close() {
   pending_pos_ = 0;
 }
 
-bool ProgXeSession::ExportCheckpoint(SessionCheckpoint* out,
-                                     size_t* skips_held) {
+bool ProgXeSession::ExportCheckpoint(SessionCheckpoint* out) {
   // Every flushed result must have been delivered: skip-safety treats an
   // emitted cell as "its tuples reached the consumer", which is only true
   // once the pending buffer is drained.
@@ -184,7 +183,7 @@ bool ProgXeSession::ExportCheckpoint(SessionCheckpoint* out,
       pending_pos_ < pending_.size()) {
     return false;
   }
-  if (!loop_->ExportCheckpoint(out, skips_held)) return false;
+  if (!loop_->ExportCheckpoint(out)) return false;
   out->delivered = stats_.results_emitted;
   out->stats = stats_;
   return true;

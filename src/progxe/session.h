@@ -129,10 +129,9 @@ class ProgXeSession : public ProgXeStream {
   /// progxe/checkpoint.h). Only valid on a healthy, open session at a
   /// region boundary with all flushed results delivered — returns false
   /// otherwise. `out->delivered` counts this incarnation's deliveries.
-  /// `skips_held` as in RegionLoop::ExportCheckpoint: when given, a
-  /// checkpoint whose skip set has not grown past it is not exported
-  /// (false, `*out` untouched).
-  bool ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held = nullptr);
+  /// As in RegionLoop::ExportCheckpoint, a checkpoint whose skip set has
+  /// not grown since the last export is not exported again.
+  bool ExportCheckpoint(SessionCheckpoint* out);
 
   /// True iff this session was opened from a checkpoint that actually
   /// skipped regions; such a session may deliver tuples outside its true

@@ -64,15 +64,12 @@ class ShardEngine {
 
   /// Resumable region-cursor snapshot (progxe/checkpoint.h), captured by
   /// the sharded stream after each healthy pump and handed to the next
-  /// incarnation on retry. `*skips_held` is the skip-set size of the
-  /// checkpoint the caller holds from *this* incarnation (0 if none): only
-  /// a checkpoint whose skip set grew past it is exported, and
-  /// `*skips_held` is updated. False when unsupported, unchanged, or not
-  /// currently at a clean region boundary. Remote engines answer from the
-  /// checkpoint streamed with the last pump reply that carried one.
-  virtual bool ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held) {
+  /// incarnation on retry. False when unsupported, not currently at a
+  /// clean region boundary, or when the skip set has not grown since this
+  /// incarnation's last export. Remote engines answer from the checkpoint
+  /// streamed with the last pump reply that carried one.
+  virtual bool ExportCheckpoint(SessionCheckpoint* out) {
     (void)out;
-    (void)skips_held;
     return false;
   }
 
@@ -105,8 +102,8 @@ class LocalShardEngine : public ShardEngine {
   std::shared_ptr<const PreparedInputs> prepared_inputs() const override {
     return session_->prepared_inputs();
   }
-  bool ExportCheckpoint(SessionCheckpoint* out, size_t* skips_held) override {
-    return session_->ExportCheckpoint(out, skips_held);
+  bool ExportCheckpoint(SessionCheckpoint* out) override {
+    return session_->ExportCheckpoint(out);
   }
   bool resumed() const override { return session_->resumed(); }
   uint64_t replay_pairs_saved() const override {

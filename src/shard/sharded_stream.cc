@@ -272,7 +272,6 @@ Status ShardedStream::OpenShard(size_t i) {
       }
     }
   }
-  shard.checkpoint_skips = 0;
   if (shard.session->resumed()) {
     shard.resumed = true;
     replay_pairs_saved_ += shard.session->replay_pairs_saved();
@@ -414,12 +413,10 @@ uint64_t ShardedStream::PumpRound(size_t per_shard) {
       // coordinator actually merged (a stale/corrupt remote snapshot must
       // not survive to a resume — full replay is always sound).
       SessionCheckpoint checkpoint;
-      size_t skips = shard.checkpoint_skips;
-      if (shard.session->ExportCheckpoint(&checkpoint, &skips) &&
+      if (shard.session->ExportCheckpoint(&checkpoint) &&
           checkpoint.delivered <= shard.ingested.size()) {
         shard.checkpoint = std::move(checkpoint);
         shard.has_checkpoint = true;
-        shard.checkpoint_skips = skips;
       }
     }
   }

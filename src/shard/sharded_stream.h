@@ -212,10 +212,6 @@ class ShardedStream : public ProgXeStream {
     /// a retry re-open so it skips the finished regions.
     SessionCheckpoint checkpoint;
     bool has_checkpoint = false;
-    /// Skip-set size of the freshest checkpoint adopted from the *current*
-    /// incarnation (0 right after an open): a pump whose export did not
-    /// grow it adopts nothing and copies nothing.
-    size_t checkpoint_skips = 0;
     /// True once any incarnation of this shard resumed from a checkpoint.
     /// A resumed incarnation may emit tuples that are not locally final,
     /// so GloballyFinal then also tests the candidate's *own* shard bound.

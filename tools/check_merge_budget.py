@@ -16,12 +16,12 @@ table on the hot path costs 10-100x, far above runner jitter.
 disabled TraceSpan must stay one predicted branch, never a thread-local
 ring-buffer append.
 
-`checkpoint_overhead` (when present) is the K=4 makespan with checkpoint
-capture on divided by the same run with it off, each the minimum over
-alternating repetitions of one bench_sharded process. It is held at or
-below --checkpoint_budget (default 1.10): the fault-free path must not pay
-for recovery machinery it is not using. Capture that re-scans region boxes
-on every pump costs about 2x here.
+`checkpoint_overhead` (when present) is the process CPU time of the K=4
+drain with checkpoint capture on divided by the same drain with it off,
+each the minimum over alternating repetitions of one bench_sharded
+process. It is held at or below CHECKPOINT_BUDGET (1.10): the fault-free
+path must not pay for recovery machinery it is not using. Capture that
+re-scans region boxes on every pump costs about 2x here.
 
 The cross-query reuse burst (the `reuse` key, written by bench_multiquery)
 is gated on two machine-independent booleans: the warm run must have hit
@@ -50,11 +50,12 @@ there is no reuse section either).
 Usage: check_merge_budget.py <json> [--shards=4] [--budget=200000]
                                     [--hook_budget_ns=15]
                                     [--trace_budget_ns=15]
-                                    [--checkpoint_budget=1.10]
 """
 
 import json
 import sys
+
+CHECKPOINT_BUDGET = 1.10
 
 
 def main(argv):
@@ -63,7 +64,6 @@ def main(argv):
     budget = 200000
     hook_budget_ns = 15.0
     trace_budget_ns = 15.0
-    checkpoint_budget = 1.10
     for arg in argv[1:]:
         if arg.startswith("--shards="):
             shards = int(arg.split("=", 1)[1])
@@ -73,8 +73,6 @@ def main(argv):
             hook_budget_ns = float(arg.split("=", 1)[1])
         elif arg.startswith("--trace_budget_ns="):
             trace_budget_ns = float(arg.split("=", 1)[1])
-        elif arg.startswith("--checkpoint_budget="):
-            checkpoint_budget = float(arg.split("=", 1)[1])
         elif path is None:
             path = arg
         else:
@@ -128,11 +126,11 @@ def main(argv):
 
     overhead = data.get("checkpoint_overhead")
     if overhead is not None:
-        print(f"checkpoint_overhead={overhead} budget={checkpoint_budget}")
-        if overhead > checkpoint_budget:
+        print(f"checkpoint_overhead={overhead} budget={CHECKPOINT_BUDGET}")
+        if overhead > CHECKPOINT_BUDGET:
             raise SystemExit(
                 f"FAIL: checkpoint capture makes the fault-free K=4 run "
-                f"{overhead:.3f}x slower (> {checkpoint_budget}x) — export "
+                f"{overhead:.3f}x slower (> {CHECKPOINT_BUDGET}x) — export "
                 f"must stay incremental, not re-scan region boxes per pump")
 
     if isinstance(distributed, dict):
