@@ -71,11 +71,10 @@ inline constexpr const char kSchedulerSlice[] = "scheduler.slice";
 /// (N >= 1) exercises shard-open recovery without failing unsharded
 /// sessions, whose instance is 0.
 inline constexpr const char kPrepareBuild[] = "prepare.build";
-/// RegionLoop about to drive the (possibly parallel) join->map->insert
-/// pipeline for one region chunk; instance = ProgXeOptions::fault_instance
+/// RegionLoop about to advance the join->map->insert pipeline (once per
+/// Step that touches a region); instance = ProgXeOptions::fault_instance
 /// (same shard-targeting convention as prepare.build). Fires through the
-/// session's error channel mid-stream, exactly where a worker-thread crash
-/// would surface.
+/// session's error channel mid-stream.
 inline constexpr const char kPipelineChunk[] = "pipeline.chunk";
 /// Transport chaos sites (net/socket.cc). Instance is always 0 — socket
 /// calls have no shard identity — so chaos specs use p=/max= schedules.

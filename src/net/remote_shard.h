@@ -32,12 +32,10 @@ class RemoteShardStream : public ShardEngine {
   /// session (the reply carries the prepare-phase stats + initial
   /// watermark). `options` must already carry the shard's fault_instance /
   /// seed; its coordinator-local pointers (faults, prepare_cache) do not
-  /// travel. With `resume` set and a v2 link, the checkpoint travels in
-  /// kOpenShard and the worker resumes past its skip-safe regions; on a v1
-  /// link (old worker) the checkpoint is silently dropped — full replay,
-  /// same delivered set. A worker that rejects the checkpoint as
-  /// stale/corrupt also falls back to full replay and reports
-  /// resumed() == false.
+  /// travel. With `resume` set, the checkpoint travels in kOpenShard and
+  /// the worker resumes past its skip-safe regions. A worker that rejects
+  /// the checkpoint as stale/corrupt falls back to full replay (same
+  /// delivered set) and reports resumed() == false.
   static Result<std::unique_ptr<RemoteShardStream>> Open(
       std::shared_ptr<WorkerPool> pool, const std::string& endpoint,
       int shard_index, const Relation& r, const Relation& t,
@@ -57,9 +55,8 @@ class RemoteShardStream : public ShardEngine {
   bool RemainingLowerBound(std::vector<double>* lo) const override;
 
   /// Hands over the checkpoint streamed with the last kPumpResult that
-  /// carried one (v2 links only; v1 workers never send one). The worker
-  /// ships a checkpoint only when its skip set grew, so each one received
-  /// is handed over once.
+  /// carried one. The worker ships a checkpoint only when its skip set
+  /// grew, so each one received is handed over once.
   bool ExportCheckpoint(SessionCheckpoint* out) override;
   bool resumed() const override { return resumed_; }
   uint64_t replay_pairs_saved() const override { return replay_pairs_saved_; }
@@ -81,7 +78,7 @@ class RemoteShardStream : public ShardEngine {
   std::vector<double> bound_;
   bool closed_ = false;
 
-  // Resume state (v2): whether the worker actually resumed from the
+  // Resume state: whether the worker actually resumed from the
   // shipped checkpoint, the pairs that saved, and the freshest checkpoint
   // it streamed back that was not handed over yet.
   bool resumed_ = false;

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
@@ -352,13 +354,8 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
   w->PutI64(options.input_cells_per_dim);
   w->PutI64(options.output_cells_per_dim);
   w->PutU8(static_cast<uint8_t>(options.signature_mode));
-  w->PutU64(options.bloom_bits);
-  w->PutI64(options.bloom_hashes);
   w->PutDouble(options.sigma_hint);
-  w->PutU64(options.insert_batch_size);
-  w->PutI64(options.num_threads);
   w->PutU64(options.seed);
-  w->PutU64(options.max_regions_for_elgraph);
   w->PutI64(options.max_output_cells);
   w->PutI64(options.fault_instance);
   w->PutU64(options.max_results);
@@ -373,20 +370,37 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
   }
 }
 
+namespace {
+
+/// Narrows a wire i64 into an int field, rejecting values the field cannot
+/// hold (a silent truncation would turn 2^32+5 into 5) and, for counts,
+/// negative values.
+bool NarrowInt(WireReader* r, int64_t v, int64_t min, const char* field,
+               int* out) {
+  if (v < min || v > std::numeric_limits<int>::max()) {
+    r->Fail(std::string("wire options: ") + field + " out of range (" +
+            std::to_string(v) + ")");
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+
+}  // namespace
+
 Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   ProgXeOptions o;
   uint8_t ordering, push_through, partitioning, signature_mode;
-  int64_t in_cpd, out_cpd, bloom_hashes, num_threads, max_output_cells,
-      fault_instance;
-  uint64_t bloom_bits, insert_batch, seed, max_regions, max_results;
+  int64_t in_cpd, out_cpd, fault_instance;
+  uint64_t max_results;
   if (!r->GetU8(&ordering) || !r->GetU8(&push_through) ||
       !r->GetU8(&partitioning) || !r->GetI64(&in_cpd) ||
       !r->GetI64(&out_cpd) || !r->GetU8(&signature_mode) ||
-      !r->GetU64(&bloom_bits) || !r->GetI64(&bloom_hashes) ||
-      !r->GetDouble(&o.sigma_hint) || !r->GetU64(&insert_batch) ||
-      !r->GetI64(&num_threads) || !r->GetU64(&seed) ||
-      !r->GetU64(&max_regions) || !r->GetI64(&max_output_cells) ||
-      !r->GetI64(&fault_instance) || !r->GetU64(&max_results)) {
+      !r->GetDouble(&o.sigma_hint) || !r->GetU64(&o.seed) ||
+      !r->GetI64(&o.max_output_cells) || !r->GetI64(&fault_instance) ||
+      !r->GetU64(&max_results)) {
     return r->status();
   }
   if (ordering > static_cast<uint8_t>(OrderingMode::kSequential) ||
@@ -395,30 +409,37 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
     r->Fail("wire options carry an unknown enum value");
     return r->status();
   }
+  if (!NarrowInt(r, in_cpd, 0, "input_cells_per_dim",
+                 &o.input_cells_per_dim) ||
+      !NarrowInt(r, out_cpd, 0, "output_cells_per_dim",
+                 &o.output_cells_per_dim) ||
+      !NarrowInt(r, fault_instance, kIntMin, "fault_instance",
+                 &o.fault_instance)) {
+    return r->status();
+  }
   o.ordering = static_cast<OrderingMode>(ordering);
   o.push_through = push_through != 0;
   o.partitioning = static_cast<PartitioningScheme>(partitioning);
-  o.input_cells_per_dim = static_cast<int>(in_cpd);
-  o.output_cells_per_dim = static_cast<int>(out_cpd);
   o.signature_mode = static_cast<SignatureMode>(signature_mode);
-  o.bloom_bits = bloom_bits;
-  o.bloom_hashes = static_cast<int>(bloom_hashes);
-  o.insert_batch_size = insert_batch;
-  o.num_threads = static_cast<int>(num_threads);
-  o.seed = seed;
-  o.max_regions_for_elgraph = max_regions;
-  o.max_output_cells = max_output_cells;
-  o.fault_instance = static_cast<int>(fault_instance);
   o.max_results = max_results;
   uint8_t has_seed;
   if (!r->GetU8(&has_seed)) return r->status();
   if (has_seed != 0) {
     auto refinement = std::make_shared<RefinementSeed>();
     int64_t k;
-    if (!r->GetI64(&k) || !r->GetDoubles(&refinement->canonical)) {
+    if (!r->GetI64(&k) || !NarrowInt(r, k, 0, "refinement seed k",
+                                     &refinement->k) ||
+        !r->GetDoubles(&refinement->canonical)) {
       return r->status();
     }
-    refinement->k = static_cast<int>(k);
+    const size_t len = refinement->canonical.size();
+    if (refinement->k == 0 ? len != 0
+                           : len % static_cast<size_t>(refinement->k) != 0) {
+      r->Fail("wire options: refinement seed holds " + std::to_string(len) +
+              " values, not a multiple of k=" +
+              std::to_string(refinement->k));
+      return r->status();
+    }
     o.refinement_seed = std::move(refinement);
   }
   *out = std::move(o);
@@ -547,7 +568,7 @@ Status ReadWatermark(WireReader* r, bool* has_bound,
   return Status::OK();
 }
 
-// --- Resume checkpoints (v2) -----------------------------------------------
+// --- Resume checkpoints ----------------------------------------------------
 
 void WriteCheckpoint(const SessionCheckpoint& checkpoint, WireWriter* w) {
   w->PutU32(checkpoint.k);

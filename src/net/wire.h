@@ -19,10 +19,13 @@
 //
 //   kHello / kHelloAck     magic + version handshake, once per connection
 //   kOpenShard             shard assignment: options + map + preference +
-//                          both relation slices (-> one ProgXeSession)
+//                          both relation slices + optional resume
+//                          checkpoint (-> one ProgXeSession)
 //   kOpenResult            Status + initial watermark + prepare-phase stats
+//                          + resume info
 //   kPump                  budgeted NextBatch request (max_results/max_pairs)
-//   kPumpResult            Status + candidate batch + watermark + stats
+//   kPumpResult            Status + candidate batch + watermark + stats +
+//                          optional checkpoint
 //   kHeartbeat             liveness signal during a long pump/open
 //   kClose / kCloseAck     tear down the connection's session, keep the link
 //   kPing / kPong          pool liveness probe
@@ -49,21 +52,13 @@
 
 namespace progxe {
 
-/// Connection handshake constants. Since v2 the handshake *negotiates*: the
-/// client offers its version, the worker acks min(offer, own), and both
-/// sides speak the acked version on that connection — so a v2 coordinator
-/// interoperates with a v1 worker (and vice versa) by simply omitting the
-/// v2-only field groups. A magic mismatch, or a version outside [1, offer],
-/// still closes the connection before any other frame is parsed.
-///
-/// v1 -> v2: kOpenShard may carry a resume SessionCheckpoint (u8
-/// has_checkpoint + checkpoint group), kOpenResult appends resume info
-/// (u8 resumed, u32 regions_skipped, u64 replay_pairs_saved) and
-/// kPumpResult appends u8 has_checkpoint + checkpoint group. v1 payloads
-/// are byte-identical to before.
+/// Connection handshake constants. The client sends its magic and
+/// version; the worker acks only an exact match of both and answers
+/// anything else with kError before closing the connection, so no other
+/// frame is ever parsed across a version boundary (version history:
+/// docs/worker_protocol.md).
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
-inline constexpr uint16_t kWireVersion = 2;
-inline constexpr uint16_t kWireVersionMin = 1;
+inline constexpr uint16_t kWireVersion = 3;
 
 /// Hard ceiling on one frame's payload. Large enough for a full relation
 /// slice of any workload this engine targets; small enough that a corrupted
@@ -188,7 +183,7 @@ void WriteWatermark(bool has_bound, const std::vector<double>& bound,
 Status ReadWatermark(WireReader* r, bool* has_bound,
                      std::vector<double>* bound);
 
-/// Resume checkpoint (progxe/checkpoint.h), v2-only: u32 k, u64
+/// Resume checkpoint (progxe/checkpoint.h): u32 k, u64
 /// frontier_epoch, u64 delivered, u64 region_count, u64 replay_pairs_saved,
 /// u32 skip_count + skip_count u32 region ids (validated against the bytes
 /// present and required strictly increasing), then WriteStats. Decode

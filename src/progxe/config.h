@@ -69,33 +69,15 @@ struct ProgXeOptions {
   /// 0 = choose automatically (bounded total cell count).
   int output_cells_per_dim = 0;
   /// Join-signature realization for input partitions.
+  /// kBloom signatures use the InputGridOptions/KdOptions filter shape.
   SignatureMode signature_mode = SignatureMode::kExact;
-  size_t bloom_bits = 2048;
-  int bloom_hashes = 4;
 
   /// Join selectivity hint for the benefit/cost models; <= 0 means measure
   /// it exactly from the key histograms (O(N)).
   double sigma_hint = 0.0;
 
-  /// Tuple-pipeline block size: join pairs are buffered, mapped and
-  /// inserted in blocks of this many tuples (amortizing per-tuple call and
-  /// lookup overhead). Values <= 1 select the per-tuple legacy path. Both
-  /// paths produce identical results *and* identical ProgXeStats counters.
-  size_t insert_batch_size = 256;
-
-  /// Worker threads for the region-level join->map stage. Each region's
-  /// matching join groups are split into contiguous chunks; workers expand,
-  /// map and pre-grid their chunks in parallel, and a deterministic ordered
-  /// merge feeds the single-threaded OutputTable insert in exactly the
-  /// sequential pair order — so results *and* all ProgXeStats counters are
-  /// bit-identical at any thread count. Values <= 1 run fully inline.
-  int num_threads = 1;
-
   /// Seed for the kRandom ordering shuffle.
   uint64_t seed = 0x5eed;
-
-  /// EL-Graph is bypassed above this many active regions (see ElGraph).
-  size_t max_regions_for_elgraph = 8000;
 
   /// Hard cap on dense output-cell state.
   int64_t max_output_cells = 8 * 1000 * 1000;

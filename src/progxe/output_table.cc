@@ -189,20 +189,7 @@ void OutputTable::InsertBatch(const double* values, const RowIdPair* ids,
     geometry_.CoordsOf(values + i * kk, coords);
     batch_cells_[i] = geometry_.IndexOf(coords);
   }
-  InsertRuns(values, ids, n, batch_coords_.data(), batch_cells_.data());
-}
 
-void OutputTable::InsertBatchPrebinned(const double* values,
-                                       const RowIdPair* ids, size_t n,
-                                       const CellCoord* coords,
-                                       const CellIndex* cells) {
-  InsertRuns(values, ids, n, coords, cells);
-}
-
-void OutputTable::InsertRuns(const double* values, const RowIdPair* ids,
-                             size_t n, const CellCoord* coords_flat,
-                             const CellIndex* cells) {
-  const size_t kk = static_cast<size_t>(k_);
   // Pass 2: process runs of consecutive same-cell tuples. Processing order
   // is exactly the input order, so counters match the per-tuple path. The
   // run-level shortcut is sound because within a run neither check can
@@ -212,11 +199,11 @@ void OutputTable::InsertRuns(const double* values, const RowIdPair* ids,
   // coordinates, and entries it evicts are covered by it).
   size_t i = 0;
   while (i < n) {
-    const CellIndex c = cells[i];
+    const CellIndex c = batch_cells_[i];
     size_t run_end = i + 1;
-    while (run_end < n && cells[run_end] == c) ++run_end;
+    while (run_end < n && batch_cells_[run_end] == c) ++run_end;
     const size_t run_len = run_end - i;
-    const CellCoord* coords = coords_flat + i * kk;
+    const CellCoord* coords = batch_coords_.data() + i * kk;
 
     assert(!emitted_[static_cast<size_t>(c)] &&
            "tuple arrived in an already-flushed cell");

@@ -189,8 +189,6 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
       InputGridOptions grid_options;
       grid_options.cells_per_dim = out->resolved_input_cells_per_dim;
       grid_options.signature_mode = options.signature_mode;
-      grid_options.bloom_bits = options.bloom_bits;
-      grid_options.bloom_hashes = options.bloom_hashes;
       out->r_grid = std::make_unique<InputGrid>(*out->r_rel, *out->r_contrib,
                                                 grid_options);
       out->t_grid = std::make_unique<InputGrid>(*out->t_rel, *out->t_contrib,
@@ -205,8 +203,6 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
       kd_options.max_partitions =
           static_cast<size_t>(std::clamp(leaves, 1.0, 4096.0));
       kd_options.signature_mode = options.signature_mode;
-      kd_options.bloom_bits = options.bloom_bits;
-      kd_options.bloom_hashes = options.bloom_hashes;
       out->r_grid = std::make_unique<KdPartitioner>(*out->r_rel,
                                                     *out->r_contrib,
                                                     kd_options);

@@ -74,8 +74,6 @@ void AbsorbQuery(Hasher* h, const SkyMapJoinQuery& query,
   h->U64(static_cast<uint64_t>(options.input_cells_per_dim));
   h->U64(static_cast<uint64_t>(options.output_cells_per_dim));
   h->U64(static_cast<uint64_t>(options.signature_mode));
-  h->U64(options.bloom_bits);
-  h->U64(static_cast<uint64_t>(options.bloom_hashes));
   h->F64(options.sigma_hint);
   h->I64(options.max_output_cells);
 }

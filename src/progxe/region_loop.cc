@@ -20,14 +20,12 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
              stats),
       determine_(&table_),
       pipeline_(&prep->inputs->mapper, prep->inputs->r_contrib->flat().data(),
-                prep->inputs->t_contrib->flat().data(), &table_.geometry(),
-                options.insert_batch_size, options.num_threads) {
+                prep->inputs->t_contrib->flat().data()) {
   const PreparedInputs& inputs = *prep->inputs;
   table_.InitCoverage(*regions_);
 
   if (options_.ordering == OrderingMode::kProgOrder) {
-    el_graph_ = std::make_unique<ElGraph>(*regions_,
-                                          options_.max_regions_for_elgraph);
+    el_graph_ = std::make_unique<ElGraph>(*regions_);
     stats_->elgraph_disabled = el_graph_->disabled();
   }
 
@@ -501,55 +499,32 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
       Region& picked = (*regions_)[static_cast<size_t>(next)];
       if (!picked.Active()) continue;
 
-      const InputPartition& pa =
-          prep_->inputs->r_grid->partitions()[static_cast<size_t>(picked.a)];
-      const InputPartition& pb =
-          prep_->inputs->t_grid->partitions()[static_cast<size_t>(picked.b)];
-      if (max_pairs == 0) {
-        // Whole-region fast path: join the partition pair, map, insert —
-        // via the (optionally parallel) pipeline, which preserves the
-        // sequential pair order and hence every counter.
-        Status fault = MaybeInjectFault(faults_, fault_sites::kPipelineChunk,
-                                        options_.fault_instance);
-        if (PROGXE_PREDICT_FALSE(!fault.ok())) {
-          status_ = std::move(fault);
-          done_ = true;
-          return false;
-        }
-        {
-          TraceSpan span(trace_cats::kRegion, "region.pipeline");
-          span.arg("region", next);
-          const uint64_t pairs = pipeline_.ProcessRegion(pa, pb, &table_);
-          stats_->join_pairs_generated += pairs;
-          picked.join_pairs += pairs;
-          span.arg("pairs", static_cast<int64_t>(pairs));
-        }
-        FinishRegion(picked, pending);
-        return true;
-      }
-      pipeline_.BeginRegion(pa, pb);
+      pipeline_.BeginRegion(
+          prep_->inputs->r_grid->partitions()[static_cast<size_t>(picked.a)],
+          prep_->inputs->t_grid->partitions()[static_cast<size_t>(picked.b)]);
       current_region_ = next;
     }
 
-    // Sliced path: advance the open region by ~max_pairs pairs; flush only
-    // once it is exhausted, so the table sees the identical insert stream.
+    // Advance the open region by ~max_pairs pairs (0 = all); flush only
+    // once it is exhausted, so the table sees the identical insert stream
+    // wherever a slice yields.
+    Status fault = MaybeInjectFault(faults_, fault_sites::kPipelineChunk,
+                                    options_.fault_instance);
+    if (PROGXE_PREDICT_FALSE(!fault.ok())) {
+      status_ = std::move(fault);
+      done_ = true;
+      return false;
+    }
     Region& region = (*regions_)[static_cast<size_t>(current_region_)];
-    if (!pipeline_.RegionExhausted()) {
-      Status fault = MaybeInjectFault(faults_, fault_sites::kPipelineChunk,
-                                      options_.fault_instance);
-      if (PROGXE_PREDICT_FALSE(!fault.ok())) {
-        status_ = std::move(fault);
-        done_ = true;
-        return false;
-      }
+    {
       TraceSpan span(trace_cats::kRegion, "region.pipeline");
       span.arg("region", current_region_);
       const uint64_t pairs = pipeline_.ProcessSome(max_pairs, &table_);
       stats_->join_pairs_generated += pairs;
       region.join_pairs += pairs;
       span.arg("pairs", static_cast<int64_t>(pairs));
-      if (!pipeline_.RegionExhausted()) return true;  // yielded mid-region
     }
+    if (!pipeline_.RegionExhausted()) return true;  // yielded mid-region
     current_region_ = -1;
     FinishRegion(region, pending);
     return true;

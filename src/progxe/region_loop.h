@@ -1,8 +1,8 @@
 // RegionLoop: the incremental driver of ProgXe's main loop (Algorithm 1).
 // One Step() = one iteration — ProgOrder picks a region, the tuple pipeline
-// joins/maps/inserts it (optionally across worker threads), ProgDetermine
-// flushes settled cells, and the epoch-gated runtime discard sweep removes
-// regions the new frontier wholly dominates. Emitted results are appended
+// joins/maps/inserts it, ProgDetermine flushes settled cells, and the
+// epoch-gated runtime discard sweep removes regions the new frontier wholly
+// dominates. Emitted results are appended
 // to the caller's pending vector, which is what lets ProgXeSession expose a
 // pull-based NextBatch on top while ProgXeExecutor::Run stays a thin loop.
 #pragma once
@@ -33,11 +33,10 @@ class RegionLoop {
 
   /// Runs one bounded slice of the main loop, appending any results it
   /// proves final to `*pending`. `max_pairs` caps the join pairs processed
-  /// in this call: 0 drives the picked region all the way to its flush (the
-  /// legacy one-region step); otherwise the call may yield mid-region after
-  /// ~max_pairs pairs (producing no results) and the next call resumes at
-  /// the same pair without redoing work — the serving layer's preemption
-  /// point. Slice boundaries never change results, emission order or any
+  /// in this call: 0 drives the picked region all the way to its flush;
+  /// otherwise the call may yield mid-region after ~max_pairs pairs
+  /// (producing no results) and the next call resumes at the same pair
+  /// without redoing work — the serving layer's preemption point. Slice boundaries never change results, emission order or any
   /// ProgXeStats counter. Returns false — without processing anything
   /// further — once no active regions remain or options.max_results has
   /// been reached; the final completeness sweep has run by then.
@@ -47,9 +46,9 @@ class RegionLoop {
   bool done() const { return done_; }
 
   /// OK while healthy. The "pipeline.chunk" fault site (a stand-in for a
-  /// parallel join->map worker crash) lands here; the loop is done()
-  /// afterwards and the session surfaces the failure through its own error
-  /// channel.
+  /// join->map failure, consulted once per pipeline advance) lands here;
+  /// the loop is done() afterwards and the session surfaces the failure
+  /// through its own error channel.
   const Status& status() const { return status_; }
 
   /// Min-merges into `lo[0..k)` the canonical lower cell edges of every

@@ -60,7 +60,7 @@ class ProgXeSession : public ProgXeStream {
   ProgXeSession(const ProgXeSession&) = delete;
   ProgXeSession& operator=(const ProgXeSession&) = delete;
 
-  /// Closes the session, then destroys it (workers joined, state freed).
+  /// Closes the session, then destroys it (state freed).
   ~ProgXeSession() override;
 
   /// The unbudgeted base-class form advances the engine until at least one
@@ -80,12 +80,11 @@ class ProgXeSession : public ProgXeStream {
   size_t NextBatch(size_t max_results, size_t max_pairs,
                    std::vector<ResultTuple>* out) override;
 
-  /// Cooperatively tears the session down: joins any RegionJoinPipeline
-  /// workers, releases the prepared query state and scratch buffers, and
-  /// drops undelivered results. Finished() is true afterwards and further
-  /// NextBatch calls deliver nothing. Idempotent; the destructor delegates
-  /// here, so an explicit Close is only needed to reclaim resources (or
-  /// worker threads) before the session object itself goes away.
+  /// Tears the session down: releases the prepared query state and scratch
+  /// buffers, and drops undelivered results. Finished() is true afterwards
+  /// and further NextBatch calls deliver nothing. Idempotent; the
+  /// destructor delegates here, so an explicit Close is only needed to
+  /// reclaim memory before the session object itself goes away.
   void Close() override;
 
   /// True once every result has been delivered (the run completed, hit

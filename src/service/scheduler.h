@@ -70,8 +70,7 @@ bool FairnessPolicyFromName(std::string_view name, FairnessPolicy* out);
 /// Serving-layer configuration.
 struct ServiceOptions {
   /// Scheduler worker threads (>= 1). Workers run PreparePhase on
-  /// admission and NextBatch slices; a query's own
-  /// ProgXeOptions::num_threads pool, if any, is layered underneath.
+  /// admission and NextBatch slices; the engine itself spawns no threads.
   int num_workers = 1;
 
   /// Join-pair budget per NextBatch slice. 0 disables slicing: each slice

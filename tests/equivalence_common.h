@@ -80,8 +80,8 @@ inline Config MakeConfig(Rng* rng, bool tied, bool high_sigma) {
 }
 
 /// The counters that define the pipeline's observable work. Every
-/// equivalent execution mode (per-tuple / batched / parallel / session)
-/// must reproduce all of them exactly, comparisons included.
+/// equivalent execution mode (Run / session / sliced / traced) must
+/// reproduce all of them exactly, comparisons included.
 inline void ExpectSameStats(const ProgXeStats& a, const ProgXeStats& b,
                             const char* label) {
   EXPECT_EQ(a.join_pairs_generated, b.join_pairs_generated) << label;

@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -368,6 +369,84 @@ TEST(Wire, OverflowedRowCountRejectedBeforeAllocation) {
   EXPECT_FALSE(r.status().ok());
 }
 
+/// A kOpenShard options group written field by field, so a test can forge
+/// values WriteOptions would never produce.
+struct OptionsFrame {
+  int64_t input_cells_per_dim = 0;
+  int64_t output_cells_per_dim = 0;
+  int64_t fault_instance = 0;
+  bool has_seed = false;
+  int64_t seed_k = 2;
+  std::vector<double> seed_canonical = {1.0, 2.0};
+
+  Status Decode() const {
+    std::string buf;
+    WireWriter w(&buf);
+    w.PutU8(0);  // ordering
+    w.PutU8(0);  // push_through
+    w.PutU8(0);  // partitioning
+    w.PutI64(input_cells_per_dim);
+    w.PutI64(output_cells_per_dim);
+    w.PutU8(0);         // signature_mode
+    w.PutDouble(0.0);   // sigma_hint
+    w.PutU64(0x5eed);   // seed
+    w.PutI64(1000);     // max_output_cells
+    w.PutI64(fault_instance);
+    w.PutU64(0);        // max_results
+    w.PutU8(has_seed ? 1 : 0);
+    if (has_seed) {
+      w.PutI64(seed_k);
+      w.PutDoubles(seed_canonical);
+    }
+    WireReader r(buf);
+    ProgXeOptions options;
+    Status st = ReadOptions(&r, &options);
+    if (st.ok() && !r.AtEnd()) return Status::Internal("trailing bytes");
+    return st;
+  }
+};
+
+// int-typed option fields travel as i64; a value the field cannot hold
+// must be rejected, not truncated (2^32+5 would otherwise become 5), and
+// negative cell counts are meaningless. A refinement seed must hold whole
+// points.
+TEST(Wire, OutOfRangeOptionFieldsRejected) {
+  constexpr int64_t kWrapsToFive = (int64_t{1} << 32) + 5;
+  const OptionsFrame valid{.input_cells_per_dim = 8,
+                           .output_cells_per_dim =
+                               std::numeric_limits<int>::max(),
+                           .fault_instance = -3,
+                           .has_seed = true};
+  ASSERT_TRUE(valid.Decode().ok()) << valid.Decode().ToString();
+
+  std::vector<std::pair<const char*, OptionsFrame>> forged;
+  forged.push_back({"input_cells_per_dim 2^32+5", valid});
+  forged.back().second.input_cells_per_dim = kWrapsToFive;
+  forged.push_back({"output_cells_per_dim 2^32+5", valid});
+  forged.back().second.output_cells_per_dim = kWrapsToFive;
+  forged.push_back({"negative input_cells_per_dim", valid});
+  forged.back().second.input_cells_per_dim = -1;
+  forged.push_back({"negative output_cells_per_dim", valid});
+  forged.back().second.output_cells_per_dim = -4;
+  forged.push_back({"fault_instance 2^32+5", valid});
+  forged.back().second.fault_instance = kWrapsToFive;
+  forged.push_back({"fault_instance below INT_MIN", valid});
+  forged.back().second.fault_instance =
+      int64_t{std::numeric_limits<int>::min()} - 1;
+  forged.push_back({"seed k 2^32+5", valid});
+  forged.back().second.seed_k = kWrapsToFive;
+  forged.push_back({"negative seed k", valid});
+  forged.back().second.seed_k = -2;
+  forged.push_back({"seed length not a multiple of k", valid});
+  forged.back().second.seed_canonical = {1.0, 2.0, 3.0};
+  forged.push_back({"seed values with k 0", valid});
+  forged.back().second.seed_k = 0;
+  for (const auto& [label, frame] : forged) {
+    const Status st = frame.Decode();
+    EXPECT_TRUE(st.IsInvalidArgument()) << label << ": " << st.ToString();
+  }
+}
+
 TEST(Net, ParseWorkerListValidates) {
   auto list = ParseWorkerList("127.0.0.1:9000, localhost:9001 ,[::1]:9002");
   ASSERT_TRUE(list.ok()) << list.status().ToString();
@@ -641,6 +720,99 @@ TEST(Net, SemanticOpenFailureKeepsTheLinkUsable) {
   (*good)->Close();
 }
 
+// The handshake is an exact match: a kHello with a foreign magic or any
+// other version (2 included) gets kError and a closed link, and the worker
+// goes on serving well-formed pools.
+TEST(Net, HandshakeRejectsWrongMagicAndVersion) {
+  auto worker = MustStartWorker();
+  const std::string endpoint = Endpoint(*worker);
+  struct Hello {
+    const char* label;
+    uint32_t magic;
+    uint16_t version;
+  };
+  for (const Hello& hello : {Hello{"wrong magic", kWireMagic ^ 1u, kWireVersion},
+                             Hello{"version 2", kWireMagic, 2}}) {
+    auto fd = DialTcp(endpoint, std::chrono::milliseconds(2000));
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    std::string payload;
+    WireWriter w(&payload);
+    w.PutU32(hello.magic);
+    w.PutU16(hello.version);
+    ASSERT_TRUE(SendFrame(*fd, MsgType::kHello, payload).ok());
+    MsgType type;
+    std::string reply;
+    ASSERT_TRUE(
+        RecvFrame(*fd, &type, &reply, std::chrono::milliseconds(2000)).ok())
+        << hello.label;
+    EXPECT_EQ(type, MsgType::kError) << hello.label;
+    WireReader r(reply);
+    Status error;
+    ASSERT_TRUE(ReadStatusPayload(&r, &error).ok()) << hello.label;
+    EXPECT_TRUE(error.IsInvalidArgument()) << hello.label;
+    EXPECT_FALSE(
+        RecvFrame(*fd, &type, &reply, std::chrono::milliseconds(2000)).ok())
+        << hello.label << ": the worker must close the link";
+    CloseFd(*fd);
+  }
+
+  Rng rng(0xd15b);
+  const Config cfg = MakeConfig(&rng, false, false);
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  auto pool = std::make_shared<WorkerPool>();
+  auto stream = RemoteShardStream::Open(pool, endpoint, 0, cfg.r, cfg.t,
+                                        cfg.map, cfg.pref, options);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  std::vector<ResultTuple> remote;
+  std::vector<ResultTuple> batch;
+  std::vector<double> bound;
+  do {
+    (*stream)->NextBatch(0, 0, &batch);
+    remote.insert(remote.end(), batch.begin(), batch.end());
+  } while ((*stream)->last_status().ok() &&
+           (*stream)->RemainingLowerBound(&bound));
+  EXPECT_TRUE((*stream)->last_status().ok());
+  auto session = ProgXeSession::Open(cfg.query(), options);
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(SortedIds(remote), SortedIds(DrainStream(session->get(), 0, 0)));
+  (*stream)->Close();
+}
+
+// A coordinator facing a worker that acks another version refuses the link
+// with InvalidArgument before any session frame is sent, and counts it as
+// an endpoint failure (a threshold of 1 opens the circuit at once).
+TEST(Net, PoolRejectsMismatchedHelloAck) {
+  auto listener = ListenTcp(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  std::thread fake_worker([fd = listener->fd] {
+    auto conn = AcceptTcp(fd);
+    if (!conn.ok()) return;
+    MsgType type;
+    std::string payload;
+    if (RecvFrame(*conn, &type, &payload, std::chrono::milliseconds(2000))
+            .ok()) {
+      std::string ack;
+      WireWriter w(&ack);
+      w.PutU32(kWireMagic);
+      w.PutU16(2);
+      (void)SendFrame(*conn, MsgType::kHelloAck, ack);
+    }
+    CloseFd(*conn);
+  });
+  NetOptions net;
+  net.circuit_failure_threshold = 1;
+  auto pool = std::make_shared<WorkerPool>(net);
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(listener->port);
+  auto conn = pool->Checkout(endpoint);
+  fake_worker.join();
+  CloseFd(listener->fd);
+  ASSERT_FALSE(conn.ok());
+  EXPECT_TRUE(conn.status().IsInvalidArgument()) << conn.status().ToString();
+  EXPECT_TRUE(pool->IsOpen(endpoint));
+}
+
 // --- Checkpointed remote recovery + transport chaos -------------------------
 
 std::shared_ptr<FaultInjector> MustParseFaults(const std::string& spec,
@@ -724,10 +896,10 @@ TEST(Net, WorkerKillMidStreamResumesFromCheckpoint) {
   EXPECT_GT(total_saved, 0u);
 }
 
-// A coordinator pinned to wire v1 never ships checkpoints: the same kill
-// choreography still recovers bit-identically, but via full replay
-// (replay_pairs_saved stays 0) — the downlevel path must remain sound.
-TEST(Net, V1PinnedPoolRecoversViaFullReplay) {
+// With checkpoint_retry off the coordinator never ships checkpoints: the
+// same kill choreography still recovers bit-identically, but via full
+// replay (replay_pairs_saved stays 0) — the replay path must remain sound.
+TEST(Net, NoCheckpointRetryRecoversViaFullReplay) {
   Rng rng(0xd15e);
   const Config cfg = MakeConfig(&rng, false, false);
   ProgXeOptions options;
@@ -742,14 +914,10 @@ TEST(Net, V1PinnedPoolRecoversViaFullReplay) {
 
   auto doomed = MustStartWorker();
   auto survivor = MustStartWorker();
-  NetOptions net;
-  net.max_wire_version = 1;
-  auto pool = std::make_shared<WorkerPool>(net);
-
   ShardOptions distributed;
   distributed.num_shards = kShards;
   distributed.workers = {Endpoint(*doomed), Endpoint(*survivor)};
-  distributed.worker_pool = pool;
+  distributed.checkpoint_retry = false;
   distributed.max_retries = 8;
   distributed.retry_backoff = std::chrono::milliseconds(1);
   auto stream = OpenProgXeStream(cfg.query(), options, distributed);
@@ -773,8 +941,9 @@ TEST(Net, V1PinnedPoolRecoversViaFullReplay) {
   EXPECT_TRUE((*stream)->last_status().ok());
   const ShardCoverage coverage = (*stream)->coverage();
   EXPECT_TRUE(coverage.complete());
+  EXPECT_GT(coverage.retries, 0u) << "the kill must displace shards";
   EXPECT_EQ(coverage.replay_pairs_saved, 0u)
-      << "a v1 link cannot ship checkpoints";
+      << "checkpoint_retry=false must not ship checkpoints";
 }
 
 // Loopback run under seeded net.send/net.recv/net.frame chaos: torn

@@ -1,13 +1,12 @@
 // Tests for the observability layer (obs/trace.h, obs/metrics.h): span
 // recording, ring-overflow drop accounting, multi-thread interleaving
-// (TSan-checked in CI; PROGXE_TEST_THREADS widens the pool), trace_event
+// (TSan-checked in CI), trace_event
 // JSON validity, the tracing-on/off equivalence guarantee, and the metrics
 // registry's Prometheus exposition.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -21,12 +20,6 @@
 
 namespace progxe {
 namespace {
-
-int TestThreads() {
-  const char* env = std::getenv("PROGXE_TEST_THREADS");
-  const int n = env != nullptr ? std::atoi(env) : 0;
-  return n >= 1 ? n : 4;
-}
 
 /// Minimal recursive-descent JSON syntax checker: accepts exactly one JSON
 /// value spanning the whole input. No DOM — enough to prove an export would
@@ -217,7 +210,7 @@ TEST(Trace, RestartClearsThePreviousSession) {
 }
 
 TEST(Trace, MultiThreadInterleavingIsCleanAndComplete) {
-  const int threads = TestThreads();
+  constexpr int threads = 4;
   constexpr int kPerThread = 500;
   TraceSession session;
   std::vector<std::thread> pool;
@@ -225,7 +218,7 @@ TEST(Trace, MultiThreadInterleavingIsCleanAndComplete) {
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([t] {
       for (int i = 0; i < kPerThread; ++i) {
-        TraceSpan span(trace_cats::kPipeline, "mt.span");
+        TraceSpan span(trace_cats::kRegion, "mt.span");
         span.arg("thread", t);
         span.arg("i", i);
       }
@@ -276,7 +269,6 @@ TEST(Trace, TracingOnAndOffAreBitIdentical) {
   for (int round = 0; round < 3; ++round) {
     const test::Config cfg = test::MakeConfig(&rng, round == 1, round == 2);
     ProgXeOptions options;
-    options.num_threads = round == 2 ? 3 : 1;
 
     ProgXeStats stats_off;
     auto off = RunProgXe(cfg.query(), options, &stats_off);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -174,44 +176,109 @@ TEST_F(OutputTableTest, RegionDominatedByFrontier) {
   EXPECT_FALSE(table_.RegionDominatedByFrontier(touching));
 }
 
-TEST_F(OutputTableTest, InsertBatchMatchesSequentialInserts) {
-  // Two tables driven with the same tuple stream — one per tuple, one in
-  // blocks with ragged tails — must agree on every counter and cell state.
-  Rng rng(123);
-  std::vector<double> pts;
-  std::vector<RowIdPair> ids;
-  for (RowId i = 0; i < 500; ++i) {
-    pts.push_back(rng.Uniform(0.0, 10.0));
-    pts.push_back(rng.Uniform(0.0, 10.0));
-    ids.push_back(RowIdPair{i, i});
-  }
-  ProgXeStats batch_stats;
-  OutputTable batch_table(
-      geometry_,
-      std::vector<uint8_t>(static_cast<size_t>(geometry_.total_cells()), 0),
-      &batch_stats);
-  for (size_t i = 0; i < 500; i += 96) {
-    const size_t m = std::min<size_t>(96, 500 - i);
-    batch_table.InsertBatch(pts.data() + i * 2, ids.data() + i, m);
-  }
-  for (size_t i = 0; i < 500; ++i) {
-    table_.Insert(pts.data() + i * 2, ids[i].r, ids[i].t);
-  }
-  EXPECT_EQ(stats_.tuples_discarded_marked, batch_stats.tuples_discarded_marked);
-  EXPECT_EQ(stats_.tuples_discarded_frontier,
-            batch_stats.tuples_discarded_frontier);
-  EXPECT_EQ(stats_.tuples_dominated_on_insert,
-            batch_stats.tuples_dominated_on_insert);
-  EXPECT_EQ(stats_.tuples_evicted, batch_stats.tuples_evicted);
-  EXPECT_EQ(table_.dom_counter()->comparisons,
-            batch_table.dom_counter()->comparisons);
-  auto pop_a = table_.PopulatedCells();
-  auto pop_b = batch_table.PopulatedCells();
-  std::sort(pop_a.begin(), pop_a.end());
-  std::sort(pop_b.begin(), pop_b.end());
-  EXPECT_EQ(pop_a, pop_b);
-  for (CellIndex c : pop_a) {
-    EXPECT_EQ(table_.AliveCount(c), batch_table.AliveCount(c)) << "cell " << c;
+// Seeded property: the same tuple stream fed per tuple through Insert (the
+// reference) and in ragged InsertBatch blocks of 1, 7 and 256 leaves both
+// tables with identical counters, identical runtime kills and identical
+// flushed cells. The stream is built to hit every run-level shortcut:
+// quantized values and repeated points (ties), a downward drift so late
+// low tuples frontier-kill populated cells, and look-ahead-marked cells.
+// Cells that receive no further tuples are flushed between phases, so
+// emitted tuples keep acting as dominators.
+TEST(OutputTableProperty, InsertBatchMatchesPerTupleInsert) {
+  constexpr int kDims = 3;
+  constexpr size_t kTuples = 3000;
+  constexpr size_t kPhases = 3;
+  const GridGeometry geometry(
+      std::vector<Interval>(kDims, Interval(0.0, 12.0)), 6);
+  const size_t cells = static_cast<size_t>(geometry.total_cells());
+  for (uint64_t seed : {uint64_t{1}, uint64_t{29}, uint64_t{404}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<uint8_t> marked(cells, 0);
+    for (uint8_t& m : marked) m = rng.Bernoulli(0.1) ? 1 : 0;
+
+    std::vector<double> values;
+    std::vector<RowIdPair> ids;
+    std::vector<CellIndex> cell_of;
+    std::vector<CellCoord> coords(kDims);
+    for (size_t i = 0; i < kTuples; ++i) {
+      const size_t at = values.size();
+      if (i > 0 && rng.Bernoulli(0.2)) {
+        // Exact repeat of an earlier point (a tie under every dimension).
+        const size_t from = rng.NextBelow(i) * kDims;
+        for (int d = 0; d < kDims; ++d) values.push_back(values[from + d]);
+      } else {
+        const double hi = 12.0 * (1.0 - 0.7 * static_cast<double>(i) /
+                                            static_cast<double>(kTuples));
+        for (int d = 0; d < kDims; ++d) {
+          values.push_back(std::floor(rng.Uniform(0.0, hi) * 2.0) / 2.0);
+        }
+      }
+      ids.push_back(RowIdPair{static_cast<RowId>(i),
+                              static_cast<RowId>(i * 7 % 101)});
+      geometry.CoordsOf(values.data() + at, coords.data());
+      cell_of.push_back(geometry.IndexOf(coords.data()));
+    }
+
+    ProgXeStats ref_stats;
+    ProgXeStats batch_stats;
+    OutputTable ref(geometry, marked, &ref_stats);
+    OutputTable batch(geometry, marked, &batch_stats);
+    constexpr size_t kBlocks[] = {1, 7, 256};
+    size_t block = 0;
+    for (size_t phase = 0; phase < kPhases; ++phase) {
+      const size_t begin = phase * kTuples / kPhases;
+      const size_t end = (phase + 1) * kTuples / kPhases;
+      for (size_t i = begin; i < end; ++i) {
+        ref.Insert(values.data() + i * kDims, ids[i].r, ids[i].t);
+      }
+      for (size_t i = begin; i < end;) {
+        const size_t n = std::min(kBlocks[block++ % 3], end - i);
+        batch.InsertBatch(values.data() + i * kDims, ids.data() + i, n);
+        i += n;
+      }
+      EXPECT_EQ(ref.DrainMarkedEvents(), batch.DrainMarkedEvents())
+          << "phase " << phase;
+
+      // Flush every populated cell no later tuple lands in.
+      std::vector<uint8_t> future(cells, 0);
+      for (size_t i = end; i < kTuples; ++i) future[cell_of[i]] = 1;
+      for (CellIndex c = 0; c < static_cast<CellIndex>(cells); ++c) {
+        if (future[c] || ref.emitted(c) || !ref.populated(c)) continue;
+        ASSERT_TRUE(batch.populated(c)) << "cell " << c;
+        std::vector<double> ref_values;
+        std::vector<double> batch_values;
+        std::vector<CellTupleIds> ref_ids;
+        std::vector<CellTupleIds> batch_ids;
+        ref.FlushCell(c, &ref_values, &ref_ids);
+        batch.FlushCell(c, &batch_values, &batch_ids);
+        EXPECT_EQ(ref_values, batch_values) << "cell " << c;
+        ASSERT_EQ(ref_ids.size(), batch_ids.size()) << "cell " << c;
+        for (size_t t = 0; t < ref_ids.size(); ++t) {
+          EXPECT_EQ(ref_ids[t].r, batch_ids[t].r) << "cell " << c;
+          EXPECT_EQ(ref_ids[t].t, batch_ids[t].t) << "cell " << c;
+        }
+      }
+      auto ref_pop = ref.PopulatedCells();
+      auto batch_pop = batch.PopulatedCells();
+      std::sort(ref_pop.begin(), ref_pop.end());
+      std::sort(batch_pop.begin(), batch_pop.end());
+      EXPECT_EQ(ref_pop, batch_pop) << "phase " << phase;
+    }
+    EXPECT_EQ(ref_stats.tuples_discarded_marked,
+              batch_stats.tuples_discarded_marked);
+    EXPECT_EQ(ref_stats.tuples_discarded_frontier,
+              batch_stats.tuples_discarded_frontier);
+    EXPECT_EQ(ref_stats.tuples_dominated_on_insert,
+              batch_stats.tuples_dominated_on_insert);
+    EXPECT_EQ(ref_stats.tuples_evicted, batch_stats.tuples_evicted);
+    EXPECT_EQ(ref.dom_counter()->comparisons,
+              batch.dom_counter()->comparisons);
+    // The stream must really exercise every shortcut.
+    EXPECT_GT(ref_stats.tuples_discarded_marked, 0u);
+    EXPECT_GT(ref_stats.tuples_discarded_frontier, 0u);
+    EXPECT_GT(ref_stats.tuples_dominated_on_insert, 0u);
+    EXPECT_GT(ref_stats.tuples_evicted, 0u);
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -132,9 +131,7 @@ TEST_P(SchedulerEquivalenceSweep, ServedEqualsSolo) {
     configs.push_back(MakeConfig(&rng, i % 5 == 0, i % 4 == 0));
     ProgXeOptions opt;
     opt.seed = 0xfeed + static_cast<uint64_t>(i);
-    // Exercise a per-session worker pool under the scheduler pool, and one
-    // early-terminated query.
-    if (i % 4 == 2) opt.num_threads = 2;
+    // One early-terminated query.
     if (i == 5) opt.max_results = 7;
     options.push_back(opt);
   }
