@@ -16,6 +16,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -203,7 +204,18 @@ int main(int argc, char** argv) {
                  (*remote)->last_status().ToString().c_str());
     return 1;
   }
-  const NetStatsSnapshot after = SnapshotNetStats();
+  // A loopback worker counts a frame as sent once its write returns, which
+  // can be after the coordinator has read it: wait (briefly) until every
+  // received byte is also counted as sent, so the counts cover the drain.
+  NetStatsSnapshot after = SnapshotNetStats();
+  const auto settle_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (after.bytes_sent - before.bytes_sent <
+             after.bytes_received - before.bytes_received &&
+         std::chrono::steady_clock::now() < settle_by) {
+    std::this_thread::yield();
+    after = SnapshotNetStats();
+  }
   const ShardCoverage coverage = (*remote)->coverage();
 
   // Loopback counts both directions of both processes-worth of traffic in

@@ -13,7 +13,7 @@ RemoteShardStream::RemoteShardStream(std::shared_ptr<WorkerPool> pool,
       endpoint_(std::move(endpoint)),
       shard_index_(shard_index) {}
 
-Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::Open(
+Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::StartOpen(
     std::shared_ptr<WorkerPool> pool, const std::string& endpoint,
     int shard_index, const Relation& r, const Relation& t,
     const MapSpec& map, const Preference& pref,
@@ -33,62 +33,89 @@ Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::Open(
   w.PutU8(resume != nullptr ? 1 : 0);
   if (resume != nullptr) WriteCheckpoint(*resume, &w);
 
-  std::string reply;
-  Status st = stream->conn_->Call(MsgType::kOpenShard, payload,
-                                  MsgType::kOpenResult, &reply,
-                                  pool->options().open_timeout);
+  Status st = stream->conn_->Send(MsgType::kOpenShard, payload,
+                                  MsgType::kOpenResult);
   if (!st.ok()) {
     pool->ReportFailure(endpoint);
     return st;
   }
-  WireReader reader(reply);
-  Status remote;
-  PROGXE_RETURN_NOT_OK(ReadStatusPayload(&reader, &remote));
-  if (!remote.ok()) {
-    // Semantic open failure on the worker (validation / injected fault):
-    // the link itself is fine, hand it back for reuse.
-    pool->Return(std::move(stream->conn_));
-    return remote;
-  }
-  PROGXE_RETURN_NOT_OK(
-      ReadWatermark(&reader, &stream->has_bound_, &stream->bound_));
-  PROGXE_RETURN_NOT_OK(ReadStats(&reader, &stream->stats_));
-  uint8_t resumed = 0;
-  uint32_t regions_skipped = 0;
-  uint64_t pairs_saved = 0;
-  if (!reader.GetU8(&resumed) || !reader.GetU32(&regions_skipped) ||
-      !reader.GetU64(&pairs_saved)) {
-    return reader.status();
-  }
-  stream->resumed_ = resumed != 0;
-  stream->replay_pairs_saved_ = stream->resumed_ ? pairs_saved : 0;
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in open_result payload");
-  }
-  pool->ReportSuccess(endpoint);
+  return stream;
+}
+
+Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::Open(
+    std::shared_ptr<WorkerPool> pool, const std::string& endpoint,
+    int shard_index, const Relation& r, const Relation& t,
+    const MapSpec& map, const Preference& pref,
+    const ProgXeOptions& options, const SessionCheckpoint* resume) {
+  PROGXE_ASSIGN_OR_RETURN(
+      std::unique_ptr<RemoteShardStream> stream,
+      StartOpen(std::move(pool), endpoint, shard_index, r, t, map, pref,
+                options, resume));
+  PROGXE_RETURN_NOT_OK(stream->FinishOpen());
   return stream;
 }
 
 RemoteShardStream::~RemoteShardStream() { Close(); }
 
-size_t RemoteShardStream::NextBatch(size_t max_results, size_t max_pairs,
-                                    std::vector<ResultTuple>* out) {
-  out->clear();
-  if (closed_ || !status_.ok()) return 0;
+Status RemoteShardStream::FinishOpen() {
+  std::string reply;
+  status_ = conn_->Await(&reply, pool_->options().open_timeout);
+  if (!status_.ok()) {
+    pool_->ReportFailure(endpoint_);
+    return status_;
+  }
+  WireReader reader(reply);
+  Status remote;
+  status_ = ReadStatusPayload(&reader, &remote);
+  if (status_.ok() && !remote.ok()) {
+    // Semantic open failure on the worker (validation / injected fault):
+    // the link itself is fine, hand it back for reuse.
+    pool_->Return(std::move(conn_));
+    status_ = remote;
+  }
+  if (status_.ok()) status_ = ReadWatermark(&reader, &has_bound_, &bound_);
+  if (status_.ok()) status_ = ReadStats(&reader, &stats_);
+  if (!status_.ok()) return status_;
+  uint8_t resumed = 0;
+  uint32_t regions_skipped = 0;
+  uint64_t pairs_saved = 0;
+  if (!reader.GetU8(&resumed) || !reader.GetU32(&regions_skipped) ||
+      !reader.GetU64(&pairs_saved)) {
+    status_ = reader.status();
+    return status_;
+  }
+  resumed_ = resumed != 0;
+  replay_pairs_saved_ = resumed_ ? pairs_saved : 0;
+  if (!reader.AtEnd()) {
+    status_ = Status::InvalidArgument("trailing bytes in open_result payload");
+    return status_;
+  }
+  pool_->ReportSuccess(endpoint_);
+  return Status::OK();
+}
 
+void RemoteShardStream::StartPump(size_t max_results, size_t max_pairs) {
+  if (closed_ || !status_.ok()) return;
   std::string payload;
   WireWriter w(&payload);
   w.PutU64(static_cast<uint64_t>(max_results));
   w.PutU64(static_cast<uint64_t>(max_pairs));
+  status_ = conn_->Send(MsgType::kPump, payload, MsgType::kPumpResult);
+  if (!status_.ok()) pool_->ReportFailure(endpoint_);
+}
+
+size_t RemoteShardStream::FinishPump(std::vector<ResultTuple>* out) {
+  out->clear();
+  if (closed_ || !status_.ok()) return 0;
 
   std::string reply;
   {
     // The merge is blocked on this shard's candidates + watermark advance
-    // for the whole round trip — the distributed analogue of a local pump.
+    // from here until the reply is read; the worker has been pumping since
+    // StartPump.
     TraceSpan span(trace_cats::kNet, "net.wait_watermark");
     span.arg("shard", shard_index_);
-    status_ = conn_->Call(MsgType::kPump, payload, MsgType::kPumpResult,
-                          &reply, pool_->options().pump_timeout);
+    status_ = conn_->Await(&reply, pool_->options().pump_timeout);
   }
   if (!status_.ok()) {
     pool_->ReportFailure(endpoint_);
@@ -145,15 +172,26 @@ bool RemoteShardStream::ExportCheckpoint(SessionCheckpoint* out) {
   return true;
 }
 
+void RemoteShardStream::StartClose() {
+  if (closed_ || close_sent_ || conn_ == nullptr || !status_.ok() ||
+      !conn_->healthy()) {
+    return;
+  }
+  std::string reply;
+  if (conn_->awaiting() &&
+      !conn_->Await(&reply, pool_->options().pump_timeout).ok()) {
+    return;
+  }
+  close_sent_ = conn_->Send(MsgType::kClose, {}, MsgType::kCloseAck).ok();
+}
+
 void RemoteShardStream::Close() {
   if (closed_) return;
+  StartClose();
   closed_ = true;
-  if (conn_ == nullptr) return;
-  if (status_.ok() && conn_->healthy()) {
-    std::string reply;
-    Status st = conn_->Call(MsgType::kClose, {}, MsgType::kCloseAck, &reply,
-                            pool_->options().pump_timeout);
-    if (st.ok()) pool_->Return(std::move(conn_));
+  std::string reply;
+  if (close_sent_ && conn_->Await(&reply, pool_->options().pump_timeout).ok()) {
+    pool_->Return(std::move(conn_));
   }
   conn_.reset();  // broken links die here instead of rejoining the pool
 }

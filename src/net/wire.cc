@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -407,6 +408,11 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
       partitioning > static_cast<uint8_t>(PartitioningScheme::kKdTree) ||
       signature_mode > static_cast<uint8_t>(SignatureMode::kBloom)) {
     r->Fail("wire options carry an unknown enum value");
+    return r->status();
+  }
+  if (!std::isfinite(o.sigma_hint) || o.sigma_hint < 0.0) {
+    r->Fail("wire options: sigma_hint must be finite and >= 0 (" +
+            std::to_string(o.sigma_hint) + ")");
     return r->status();
   }
   if (!NarrowInt(r, in_cpd, 0, "input_cells_per_dim",

@@ -55,15 +55,38 @@ Result<std::vector<std::string>> ParseWorkerList(std::string_view list) {
 
 WorkerConnection::~WorkerConnection() { CloseFd(fd_); }
 
-Status WorkerConnection::Call(MsgType request, const std::string& payload,
-                              MsgType expected, std::string* reply,
-                              std::chrono::milliseconds deadline) {
+Status WorkerConnection::Send(MsgType request, const std::string& payload,
+                              MsgType expected) {
   if (!healthy_) {
     return Status::Unavailable("worker connection already failed (" +
                                endpoint_ + ")");
   }
-  const auto rpc_start = std::chrono::steady_clock::now();
+  if (awaiting_) {
+    healthy_ = false;
+    return Status::Internal("request sent while a reply is unclaimed (" +
+                            endpoint_ + ")");
+  }
+  sent_at_ = std::chrono::steady_clock::now();
   Status st = SendFrame(fd_, request, payload);
+  if (!st.ok()) {
+    healthy_ = false;
+    return st;
+  }
+  expected_ = expected;
+  awaiting_ = true;
+  return Status::OK();
+}
+
+Status WorkerConnection::Await(std::string* reply,
+                               std::chrono::milliseconds deadline) {
+  if (!healthy_) {
+    return Status::Unavailable("worker connection already failed (" +
+                               endpoint_ + ")");
+  }
+  Status st = awaiting_ ? Status::OK()
+                        : Status::Internal("await without a request (" +
+                                           endpoint_ + ")");
+  awaiting_ = false;
   MsgType got;
   while (st.ok()) {
     st = RecvFrame(fd_, &got, reply, deadline);
@@ -78,20 +101,27 @@ Status WorkerConnection::Call(MsgType request, const std::string& payload,
                                     : remote;
       break;
     }
-    if (got != expected) {
+    if (got != expected_) {
       st = Status::InvalidArgument(
           std::string("unexpected reply frame: got ") + MsgTypeName(got) +
-          ", want " + MsgTypeName(expected));
+          ", want " + MsgTypeName(expected_));
       break;
     }
     NetRecordRtt(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - rpc_start)
+            std::chrono::steady_clock::now() - sent_at_)
             .count()));
     return Status::OK();
   }
   healthy_ = false;
   return st;
+}
+
+Status WorkerConnection::Call(MsgType request, const std::string& payload,
+                              MsgType expected, std::string* reply,
+                              std::chrono::milliseconds deadline) {
+  PROGXE_RETURN_NOT_OK(Send(request, payload, expected));
+  return Await(reply, deadline);
 }
 
 WorkerPool::WorkerPool(NetOptions options) : options_(options) {}
@@ -204,7 +234,7 @@ int WorkerPool::open_circuits() const {
 }
 
 void WorkerPool::Return(std::unique_ptr<WorkerConnection> conn) {
-  if (conn == nullptr || !conn->healthy()) return;
+  if (conn == nullptr || !conn->healthy() || conn->awaiting()) return;
   std::lock_guard<std::mutex> lock(mtx_);
   std::vector<std::unique_ptr<WorkerConnection>>& slot =
       cache_[conn->endpoint()];

@@ -9,11 +9,16 @@
 // is detected before any RPC is risked on it) and dials fresh when the
 // cache is dry. Broken connections are simply dropped, never returned.
 //
-// Failure detection is deadline-based: WorkerConnection::Call bounds the
-// reply wait, and a missed deadline synthesizes a retryable kUnavailable.
-// kHeartbeat frames from a busy worker reset the clock, so the deadline
-// measures peer *liveness*, not RPC duration. Every completed RPC records
-// its round-trip time into the process-wide net stats histogram.
+// An RPC is split in halves: WorkerConnection::Send writes the request and
+// Await claims its reply, so a coordinator can send on every shard's link
+// before it waits on any (at most one request outstanding per link). A link
+// whose reply is still unclaimed is never pooled.
+//
+// Failure detection is deadline-based: Await bounds the reply wait, and a
+// missed deadline synthesizes a retryable kUnavailable. kHeartbeat frames
+// from a busy worker reset the clock, so the deadline measures peer
+// *liveness*, not RPC duration. Every completed RPC records its time from
+// Send until its reply was read into the process-wide net stats histogram.
 #pragma once
 
 #include <chrono>
@@ -64,18 +69,29 @@ class WorkerConnection {
  public:
   ~WorkerConnection();
 
-  /// One request/reply exchange: sends `payload` as a `request` frame, then
-  /// waits for an `expected` reply within `deadline` of the last sign of
-  /// life (kHeartbeat frames reset the clock). A kError reply surfaces as
-  /// its decoded Status; a missed deadline or connection failure as
-  /// kUnavailable. After any failure the link is poisoned (healthy() turns
-  /// false) and must be dropped, not returned to the pool.
+  /// Sends `payload` as a `request` frame whose reply must be an
+  /// `expected` frame. The reply stays unclaimed until Await; a second Send
+  /// before then fails (one request outstanding per link).
+  Status Send(MsgType request, const std::string& payload, MsgType expected);
+
+  /// Claims the reply to the outstanding request, waiting within `deadline`
+  /// of the last sign of life (kHeartbeat frames reset the clock). A kError
+  /// reply surfaces as its decoded Status; a missed deadline or connection
+  /// failure as kUnavailable.
+  Status Await(std::string* reply, std::chrono::milliseconds deadline);
+
+  /// Send followed by Await. After any failure of either half the link is
+  /// poisoned (healthy() turns false) and must be dropped, not returned to
+  /// the pool.
   Status Call(MsgType request, const std::string& payload, MsgType expected,
               std::string* reply, std::chrono::milliseconds deadline);
 
   const std::string& endpoint() const { return endpoint_; }
   /// False once any exchange on this link failed or desynced.
   bool healthy() const { return healthy_; }
+  /// True between a successful Send and its Await: the link holds an
+  /// unclaimed reply and must be drained or dropped, never pooled.
+  bool awaiting() const { return awaiting_; }
 
   WorkerConnection(const WorkerConnection&) = delete;
   WorkerConnection& operator=(const WorkerConnection&) = delete;
@@ -88,6 +104,9 @@ class WorkerConnection {
   int fd_;
   std::string endpoint_;
   bool healthy_ = true;
+  bool awaiting_ = false;
+  MsgType expected_ = MsgType::kError;
+  std::chrono::steady_clock::time_point sent_at_{};
 };
 
 class WorkerPool {
@@ -100,8 +119,8 @@ class WorkerPool {
   Result<std::unique_ptr<WorkerConnection>> Checkout(
       const std::string& endpoint);
 
-  /// Returns a healthy connection to the cache for reuse. Unhealthy
-  /// connections are closed and dropped.
+  /// Returns a healthy, idle connection to the cache for reuse. Unhealthy
+  /// connections, and ones still awaiting a reply, are closed and dropped.
   void Return(std::unique_ptr<WorkerConnection> conn);
 
   const NetOptions& options() const { return options_; }
@@ -115,7 +134,7 @@ class WorkerPool {
   void ReportFailure(const std::string& endpoint);
   void ReportSuccess(const std::string& endpoint);
   /// True while the endpoint's circuit is open *and* inside its cooldown —
-  /// shard placement (ShardedStream::OpenShard) routes around such
+  /// shard placement (ShardedStream::StartOpenShard) routes around such
   /// endpoints. Past the cooldown this returns false (half-open): the next
   /// caller probes the endpoint and its success or failure settles the
   /// circuit.

@@ -72,8 +72,9 @@ struct ProgXeOptions {
   /// kBloom signatures use the InputGridOptions/KdOptions filter shape.
   SignatureMode signature_mode = SignatureMode::kExact;
 
-  /// Join selectivity hint for the benefit/cost models; <= 0 means measure
-  /// it exactly from the key histograms (O(N)).
+  /// Join selectivity hint for the benefit/cost models; 0 means measure it
+  /// exactly from the key histograms (O(N)). Negative or non-finite hints
+  /// are rejected with InvalidArgument.
   double sigma_hint = 0.0;
 
   /// Seed for the kRandom ordering shuffle.

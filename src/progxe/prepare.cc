@@ -94,6 +94,10 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   if (options.input_cells_per_dim < 0 || options.output_cells_per_dim < 0) {
     return Status::InvalidArgument("grid cell counts must be >= 0");
   }
+  // A NaN or infinite hint would otherwise flow into the partition count.
+  if (!std::isfinite(options.sigma_hint) || options.sigma_hint < 0.0) {
+    return Status::InvalidArgument("sigma_hint must be finite and >= 0");
+  }
   ProgXeStats* stats = &out->prepare_stats;
   out->resolved_input_cells_per_dim = options.input_cells_per_dim;
   out->resolved_output_cells_per_dim = options.output_cells_per_dim;
@@ -152,7 +156,7 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
 
   // --- Sigma for the benefit/cost models ---------------------------------
   out->sigma = options.sigma_hint;
-  if (out->sigma <= 0.0) {
+  if (out->sigma == 0.0) {
     TraceSpan span(trace_cats::kPrepare, "prepare.sigma");
     out->sigma = MeasureSigma(*out->r_rel, *out->t_rel);
   }

@@ -11,6 +11,12 @@
 //     over the wire protocol to a shard-worker daemon; stats and the
 //     watermark are per-pump snapshots streamed back with each reply.
 //
+// The pump is two-phase (StartPump, then FinishPump) so the coordinator can
+// scatter a round to every shard before it gathers any reply: a remote
+// engine sends its request in the first phase and waits in the second, so
+// the workers pump at the same time; a local engine does all its work in
+// the second phase.
+//
 // The merge logic (dominator filtering, quorum release on watermarks,
 // quarantine/retry/replay) is identical either way: a transport failure
 // surfaces through last_status() as a retryable kUnavailable, exactly like
@@ -30,13 +36,30 @@ class ShardEngine {
  public:
   virtual ~ShardEngine();
 
-  /// Budgeted pump, same contract as ProgXeStream::NextBatch: advance by at
-  /// most ~max_pairs join pairs (0 = until at least one result or done) and
-  /// deliver up to max_results locally-final tuples (0 = uncapped).
-  virtual size_t NextBatch(size_t max_results, size_t max_pairs,
-                           std::vector<ResultTuple>* out) = 0;
+  /// Second half of opening: a remote engine awaits the worker's open
+  /// reply here, so a coordinator can send every shard's open before it
+  /// waits on any. Engines that open in their factory have nothing to do.
+  virtual Status FinishOpen() { return Status::OK(); }
 
-  /// Tears the engine down (idempotent); stats() stays readable.
+  /// Budgeted pump, same contract as ProgXeStream::NextBatch, in two
+  /// phases: StartPump(max_results, max_pairs) asks to advance by at most
+  /// ~max_pairs join pairs (0 = until at least one result or done) and to
+  /// deliver up to max_results locally-final tuples (0 = uncapped); the
+  /// matching FinishPump delivers them. Exactly one FinishPump follows each
+  /// StartPump; a failure in either phase lands in last_status().
+  virtual void StartPump(size_t max_results, size_t max_pairs) = 0;
+  virtual size_t FinishPump(std::vector<ResultTuple>* out) = 0;
+
+  /// True while a request sent by StartOpen/StartPump awaits its reply
+  /// (remote engines only).
+  virtual bool awaiting_reply() const { return false; }
+
+  /// Optional first half of Close: a remote engine sends its close request
+  /// here, so a coordinator closing many shards overlaps them.
+  virtual void StartClose() {}
+
+  /// Tears the engine down (idempotent); stats() stays readable. The reply
+  /// of a pump or open still in flight is discarded.
   virtual void Close() = 0;
 
   /// Cumulative engine counters. For a remote shard this is the last
@@ -83,15 +106,19 @@ class ShardEngine {
 };
 
 /// The in-process implementation: a thin forwarding wrapper over one
-/// ProgXeSession.
+/// ProgXeSession. StartPump only records the budget; the pump runs in
+/// FinishPump.
 class LocalShardEngine : public ShardEngine {
  public:
   explicit LocalShardEngine(std::unique_ptr<ProgXeSession> session)
       : session_(std::move(session)) {}
 
-  size_t NextBatch(size_t max_results, size_t max_pairs,
-                   std::vector<ResultTuple>* out) override {
-    return session_->NextBatch(max_results, max_pairs, out);
+  void StartPump(size_t max_results, size_t max_pairs) override {
+    max_results_ = max_results;
+    max_pairs_ = max_pairs;
+  }
+  size_t FinishPump(std::vector<ResultTuple>* out) override {
+    return session_->NextBatch(max_results_, max_pairs_, out);
   }
   void Close() override { session_->Close(); }
   const ProgXeStats& stats() const override { return session_->stats(); }
@@ -112,6 +139,8 @@ class LocalShardEngine : public ShardEngine {
 
  private:
   std::unique_ptr<ProgXeSession> session_;
+  size_t max_results_ = 0;
+  size_t max_pairs_ = 0;
 };
 
 }  // namespace progxe

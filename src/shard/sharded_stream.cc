@@ -146,14 +146,23 @@ Result<std::unique_ptr<ShardedStream>> ShardedStream::Open(
     stream->shards_.emplace_back();
     stream->shards_.back().slice = std::move(slice);
   }
+  // Scatter every open before gathering any reply, so the workers prepare
+  // their slices at the same time. Validation runs per shard before the
+  // empty-source short-circuit, so an invalid query fails here even when
+  // every shard is empty.
   for (size_t i = 0; i < stream->shards_.size(); ++i) {
-    // Validation runs per shard before the empty-source short-circuit, so
-    // an invalid query fails here even when every shard is empty.
-    Status st = stream->OpenShard(i);
+    stream->shards_[i].round = stream->StartOpenShard(i);
+  }
+  stream->CountScatter();
+  for (size_t i = 0; i < stream->shards_.size(); ++i) {
+    Status st = std::move(*stream->shards_[i].round);
+    stream->shards_[i].round.reset();
+    if (st.ok()) st = stream->FinishOpenShard(i);
     if (!st.ok()) {
       // A non-retryable open failure (validation) fails Open itself; a
       // retryable one is a containable fault even here — quarantine the
       // shard and let the pump retry it, unless the budget is already gone.
+      // Either way the stream's teardown drains the opens still in flight.
       if (!IsRetryableStatusCode(st.code())) return st;
       stream->OnShardFailure(i, std::move(st));
       if (stream->failed_) return stream->status_;
@@ -199,7 +208,7 @@ bool ShardedStream::AllExhausted() const {
   return true;
 }
 
-Status ShardedStream::OpenShard(size_t i) {
+Status ShardedStream::StartOpenShard(size_t i) {
   SubShard& shard = shards_[i];
   PROGXE_RETURN_NOT_OK(MaybeInjectFault(faults_, fault_sites::kShardOpen,
                                         static_cast<int>(i)));
@@ -237,9 +246,9 @@ Status ShardedStream::OpenShard(size_t i) {
     // rejects the checkpoint as stale/corrupt (it answers resumed=false).
     PROGXE_ASSIGN_OR_RETURN(
         shard.session,
-        RemoteShardStream::Open(pool_, endpoint, static_cast<int>(i),
-                                shard.slice.r, shard.slice.t, query_.map,
-                                query_.pref, opts, resume));
+        RemoteShardStream::StartOpen(pool_, endpoint, static_cast<int>(i),
+                                     shard.slice.r, shard.slice.t, query_.map,
+                                     query_.pref, opts, resume));
   } else {
     ++shard.incarnation;
     if (shard.prepared != nullptr) {
@@ -271,6 +280,16 @@ Status ShardedStream::OpenShard(size_t i) {
         shard.prepared = shard.session->prepared_inputs();
       }
     }
+  }
+  return Status::OK();
+}
+
+Status ShardedStream::FinishOpenShard(size_t i) {
+  SubShard& shard = shards_[i];
+  Status st = shard.session->FinishOpen();
+  if (!st.ok()) {
+    shard.session.reset();
+    return st;
   }
   if (shard.session->resumed()) {
     shard.resumed = true;
@@ -347,9 +366,7 @@ void ShardedStream::FailStream(Status status) {
   status_ = std::move(status);
   // Close (not reset) the surviving sessions so stats() stays readable;
   // dead incarnations are already folded into lost_stats.
-  for (SubShard& shard : shards_) {
-    if (shard.session != nullptr) shard.session->Close();
-  }
+  CloseEngines();
   ReleaseMergeState();
   ready_.clear();
   ready_pos_ = 0;
@@ -366,40 +383,67 @@ ShardedStream::Clock::time_point ShardedStream::NextRetryAt() const {
   return next;
 }
 
+void ShardedStream::CountScatter() {
+  round_fanout_ = 0;
+  for (const SubShard& shard : shards_) {
+    if (shard.session != nullptr && shard.session->awaiting_reply()) {
+      ++round_fanout_;
+    }
+  }
+}
+
 uint64_t ShardedStream::PumpRound(size_t per_shard) {
+  // Scatter, in shard order: re-open a quarantined shard whose backoff
+  // expired, consult the shard.next_batch fault site and start the pump. A
+  // remote engine sends its kPump here, so every worker pumps at once. A
+  // failure is only recorded: the gather hands it to OnShardFailure in
+  // shard order between the ingests, exactly where a serial round would.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    SubShard& shard = shards_[i];
+    shard.round.reset();
+    if (shard.exhausted || shard.abandoned) continue;
+    Status st;
+    if (shard.session == nullptr) {
+      // Quarantined. The replay is idempotent (see Ingest), so the
+      // re-opened incarnation simply runs from the start.
+      if (Clock::now() < shard.next_attempt) continue;
+      ++total_retries_;
+      st = StartOpenShard(i);
+      if (st.ok()) st = FinishOpenShard(i);
+    }
+    if (st.ok()) {
+      st = MaybeInjectFault(faults_, fault_sites::kShardNextBatch,
+                            static_cast<int>(i));
+    }
+    if (st.ok()) shard.session->StartPump(/*max_results=*/0, per_shard);
+    shard.round = std::move(st);
+  }
+  CountScatter();
+
+  // Gather, in shard order: claim each reply, ingest it and capture the
+  // checkpoint.
   uint64_t used = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     SubShard& shard = shards_[i];
-    if (shard.exhausted || shard.abandoned) continue;
-    if (shard.session == nullptr) {
-      // Quarantined. Re-open once the backoff expires; the replay is
-      // idempotent (see Ingest), so the re-opened incarnation simply runs
-      // from the start.
-      if (Clock::now() < shard.next_attempt) continue;
-      ++total_retries_;
-      Status reopened = OpenShard(i);
-      if (!reopened.ok()) {
-        OnShardFailure(i, std::move(reopened));
-        if (failed_) return used;
-        continue;
-      }
-    }
-    const uint64_t before = shard.session->stats().join_pairs_generated;
-    Status fault = MaybeInjectFault(faults_, fault_sites::kShardNextBatch,
-                                    static_cast<int>(i));
+    if (!shard.round.has_value()) continue;
+    Status fault = std::move(*shard.round);
+    shard.round.reset();
     if (fault.ok()) {
       TraceSpan span(trace_cats::kShard, "shard.pump");
       span.arg("shard", static_cast<int64_t>(i));
-      shard.session->NextBatch(/*max_results=*/0, per_shard, &pump_scratch_);
+      const uint64_t before = shard.session->stats().join_pairs_generated;
+      shard.session->FinishPump(&pump_scratch_);
       const uint64_t pumped =
           shard.session->stats().join_pairs_generated - before;
       used += pumped;
       span.arg("pairs", static_cast<int64_t>(pumped));
-      // Engine-level failures (the "session.next_batch" site) surface
-      // through the sub-session's own error channel.
+      // Engine-level failures (the "session.next_batch" site) and transport
+      // failures surface through the engine's own error channel.
       fault = shard.session->last_status();
     }
     if (PROGXE_PREDICT_FALSE(!fault.ok())) {
+      // Failing the stream closes every engine; those still in flight
+      // drain their replies there.
       OnShardFailure(i, std::move(fault));
       if (failed_) return used;
       continue;
@@ -704,9 +748,7 @@ size_t ShardedStream::NextBatch(size_t max_results, size_t max_pairs,
     // Early termination, merge-level: the remaining shard work (and the
     // held candidates) can never be delivered — release the engines (and
     // their worker threads) now.
-    for (SubShard& shard : shards_) {
-      if (shard.session != nullptr) shard.session->Close();
-    }
+    CloseEngines();
     ReleaseMergeState();
   }
   return n;
@@ -721,12 +763,21 @@ void ShardedStream::ReleaseMergeState() {
   acc_held_.clear();
 }
 
-void ShardedStream::Close() {
-  if (closed_) return;
-  closed_ = true;
+void ShardedStream::CloseEngines() {
+  // Scatter the closes, then gather the acks. An engine with an open or
+  // pump still in flight drains that reply first.
+  for (SubShard& shard : shards_) {
+    if (shard.session != nullptr) shard.session->StartClose();
+  }
   for (SubShard& shard : shards_) {
     if (shard.session != nullptr) shard.session->Close();
   }
+}
+
+void ShardedStream::Close() {
+  if (closed_) return;
+  closed_ = true;
+  CloseEngines();
   ReleaseMergeState();
   ready_.clear();
   ready_pos_ = 0;

@@ -66,6 +66,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -145,6 +146,12 @@ class ShardedStream : public ProgXeStream {
   /// release checks), excluding the sub-sessions' own work.
   double merge_seconds() const { return merge_seconds_; }
 
+  /// Requests in flight when the latest gather began: remote opens (at
+  /// Open) or pumps (in the latest round) sent and not yet awaited. The
+  /// scatter sends one per runnable remote shard, where a serial
+  /// coordinator would read 1; in-process engines send none (diagnostic).
+  size_t round_fanout() const { return round_fanout_; }
+
   /// Total live entries across the per-shard replay-dedup sets
   /// (diagnostic; drops to 0 per shard as each finishes healthy).
   size_t dedup_entries() const {
@@ -216,6 +223,10 @@ class ShardedStream : public ProgXeStream {
     /// A resumed incarnation may emit tuples that are not locally final,
     /// so GloballyFinal then also tests the candidate's *own* shard bound.
     bool resumed = false;
+    /// Between a scatter (Open or PumpRound) and its gather: unset when the
+    /// shard sits the round out, OK while its open or pump is in flight,
+    /// else the failure the gather hands to OnShardFailure.
+    std::optional<Status> round;
   };
 
   /// One locally-final tuple awaiting the global finality check. Its
@@ -237,9 +248,12 @@ class ShardedStream : public ProgXeStream {
   bool CapReached() const {
     return cap_ != 0 && delivered_ >= cap_;
   }
-  /// (Re-)opens shard `i`'s sub-session over its slice; fires the
-  /// "shard.open" fault site first.
-  Status OpenShard(size_t i);
+  /// Starts (re-)opening shard `i`'s sub-session over its slice: fires the
+  /// "shard.open" fault site, then opens the local session or sends the
+  /// remote open. FinishOpenShard completes it (awaits the remote reply)
+  /// and drops the engine if the open failed.
+  Status StartOpenShard(size_t i);
+  Status FinishOpenShard(size_t i);
   /// Containment: snapshots the dead incarnation's counters, tears it down
   /// and either quarantines the shard for retry (exponential backoff),
   /// abandons it (retry budget gone, allow_partial) or fails the whole
@@ -253,8 +267,11 @@ class ShardedStream : public ProgXeStream {
   Clock::time_point NextRetryAt() const;
   /// Advances every runnable shard by its slice of `per_shard` pairs and
   /// ingests what it produced; re-opens quarantined shards whose backoff
-  /// expired. Returns the pairs actually consumed.
+  /// expired. Starts every shard's pump before finishing any (scatter,
+  /// then gather in shard order). Returns the pairs actually consumed.
   uint64_t PumpRound(size_t per_shard);
+  /// Sets round_fanout_: the engines awaiting a reply after a scatter.
+  void CountScatter();
   /// Filters a sub-session batch through the accepted-frontier index and
   /// admits the survivors into the held queue.
   void Ingest(size_t shard_idx, const std::vector<ResultTuple>& batch);
@@ -266,6 +283,9 @@ class ShardedStream : public ProgXeStream {
   /// ready queue. Runs once per pump batch.
   void RefreshBoundsAndRelease();
   bool GloballyFinal(Candidate* candidate);
+  /// Closes every live engine (stats stay readable), all closes sent
+  /// before any ack is awaited.
+  void CloseEngines();
   /// Drops all merge-sink state (cap reached / Close).
   void ReleaseMergeState();
 
@@ -273,7 +293,7 @@ class ShardedStream : public ProgXeStream {
   /// Retained for retry re-opens (the relations outlive the stream by the
   /// Open contract; the slices live in shards_).
   SkyMapJoinQuery query_;
-  /// The per-shard engine options (cap stripped); OpenShard stamps
+  /// The per-shard engine options (cap stripped); StartOpenShard stamps
   /// fault_instance per shard.
   ProgXeOptions sub_options_;
   ShardOptions shard_options_;
@@ -292,6 +312,7 @@ class ShardedStream : public ProgXeStream {
   bool failed_ = false;
   Status status_;  // non-OK once failed_
   uint64_t total_retries_ = 0;
+  size_t round_fanout_ = 0;
   /// Join pairs the checkpointed retries skipped re-generating, summed over
   /// every resume (coverage().replay_pairs_saved).
   uint64_t replay_pairs_saved_ = 0;

@@ -5,6 +5,7 @@
 // in-process run — through clean runs, worker death mid-stream (retry on a
 // surviving worker) and retry exhaustion (exact kPartial coverage).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
@@ -375,6 +376,7 @@ struct OptionsFrame {
   int64_t input_cells_per_dim = 0;
   int64_t output_cells_per_dim = 0;
   int64_t fault_instance = 0;
+  double sigma_hint = 0.0;
   bool has_seed = false;
   int64_t seed_k = 2;
   std::vector<double> seed_canonical = {1.0, 2.0};
@@ -388,7 +390,7 @@ struct OptionsFrame {
     w.PutI64(input_cells_per_dim);
     w.PutI64(output_cells_per_dim);
     w.PutU8(0);         // signature_mode
-    w.PutDouble(0.0);   // sigma_hint
+    w.PutDouble(sigma_hint);
     w.PutU64(0x5eed);   // seed
     w.PutI64(1000);     // max_output_cells
     w.PutI64(fault_instance);
@@ -409,13 +411,14 @@ struct OptionsFrame {
 // int-typed option fields travel as i64; a value the field cannot hold
 // must be rejected, not truncated (2^32+5 would otherwise become 5), and
 // negative cell counts are meaningless. A refinement seed must hold whole
-// points.
+// points, and a selectivity hint must be a finite, non-negative number.
 TEST(Wire, OutOfRangeOptionFieldsRejected) {
   constexpr int64_t kWrapsToFive = (int64_t{1} << 32) + 5;
   const OptionsFrame valid{.input_cells_per_dim = 8,
                            .output_cells_per_dim =
                                std::numeric_limits<int>::max(),
                            .fault_instance = -3,
+                           .sigma_hint = 0.25,
                            .has_seed = true};
   ASSERT_TRUE(valid.Decode().ok()) << valid.Decode().ToString();
 
@@ -441,6 +444,12 @@ TEST(Wire, OutOfRangeOptionFieldsRejected) {
   forged.back().second.seed_canonical = {1.0, 2.0, 3.0};
   forged.push_back({"seed values with k 0", valid});
   forged.back().second.seed_k = 0;
+  forged.push_back({"NaN sigma_hint", valid});
+  forged.back().second.sigma_hint = std::numeric_limits<double>::quiet_NaN();
+  forged.push_back({"infinite sigma_hint", valid});
+  forged.back().second.sigma_hint = std::numeric_limits<double>::infinity();
+  forged.push_back({"negative sigma_hint", valid});
+  forged.back().second.sigma_hint = -0.5;
   for (const auto& [label, frame] : forged) {
     const Status st = frame.Decode();
     EXPECT_TRUE(st.IsInvalidArgument()) << label << ": " << st.ToString();
@@ -720,6 +729,57 @@ TEST(Net, SemanticOpenFailureKeepsTheLinkUsable) {
   (*good)->Close();
 }
 
+// A link whose reply is still unclaimed is never pooled. The fake worker
+// handshakes and then never answers, so the pending reply cannot show up
+// as bytes the checkout's liveness probe would catch: only the pool's own
+// rule keeps the next checkout from inheriting the outstanding request.
+TEST(Net, LinkWithUnclaimedReplyIsNeverPooled) {
+  auto listener = ListenTcp(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  std::vector<int> accepted;
+  std::thread fake_worker([fd = listener->fd, &accepted] {
+    for (int i = 0; i < 2; ++i) {
+      auto conn = AcceptTcp(fd);
+      if (!conn.ok()) return;
+      accepted.push_back(*conn);
+      MsgType type;
+      std::string payload;
+      if (!RecvFrame(*conn, &type, &payload, std::chrono::milliseconds(2000))
+               .ok()) {
+        return;
+      }
+      std::string ack;
+      WireWriter w(&ack);
+      w.PutU32(kWireMagic);
+      w.PutU16(kWireVersion);
+      (void)SendFrame(*conn, MsgType::kHelloAck, ack);
+    }
+  });
+  auto pool = std::make_shared<WorkerPool>();
+  const std::string endpoint = "127.0.0.1:" + std::to_string(listener->port);
+  auto first = pool->Checkout(endpoint);
+  const bool sent =
+      first.ok() && (*first)->Send(MsgType::kPing, {}, MsgType::kPong).ok();
+  const bool awaiting = first.ok() && (*first)->awaiting();
+  if (first.ok()) pool->Return(std::move(*first));
+  auto second = pool->Checkout(endpoint);
+  // Wakes the fake worker if the checkout reused the link instead of
+  // dialing the second connection it waits for.
+  ::shutdown(listener->fd, SHUT_RDWR);
+  fake_worker.join();
+  ASSERT_TRUE(sent);
+  EXPECT_TRUE(awaiting);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(pool->reuses(), 0u);
+  EXPECT_EQ(pool->connections_created(), 2u);
+  // One request outstanding per link: a second Send poisons it.
+  ASSERT_TRUE((*second)->Send(MsgType::kPing, {}, MsgType::kPong).ok());
+  EXPECT_FALSE((*second)->Send(MsgType::kPing, {}, MsgType::kPong).ok());
+  EXPECT_FALSE((*second)->healthy());
+  for (int fd : accepted) CloseFd(fd);
+  CloseFd(listener->fd);
+}
+
 // The handshake is an exact match: a kHello with a foreign magic or any
 // other version (2 included) gets kError and a closed link, and the worker
 // goes on serving well-formed pools.
@@ -768,7 +828,8 @@ TEST(Net, HandshakeRejectsWrongMagicAndVersion) {
   std::vector<ResultTuple> batch;
   std::vector<double> bound;
   do {
-    (*stream)->NextBatch(0, 0, &batch);
+    (*stream)->StartPump(0, 0);
+    (*stream)->FinishPump(&batch);
     remote.insert(remote.end(), batch.begin(), batch.end());
   } while ((*stream)->last_status().ok() &&
            (*stream)->RemainingLowerBound(&bound));
@@ -1044,6 +1105,165 @@ TEST(Net, CircuitBreakerRoutesAroundDeadEndpoint) {
   distributed.worker_pool.reset();
   pool.reset();
   EXPECT_EQ(SnapshotNetStats().open_circuits, before.open_circuits);
+}
+
+// --- Scatter/gather rounds -------------------------------------------------
+
+/// ShardedStream::Open over `workers` (through `pool`) for the K=4 runs
+/// below, with `faults` as the programmatic injector.
+std::unique_ptr<ShardedStream> OpenDistributed(
+    const Config& cfg, const std::vector<std::string>& workers,
+    std::shared_ptr<WorkerPool> pool, int max_retries,
+    const std::string& faults = "") {
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  if (!faults.empty()) options.faults = MustParseFaults(faults, 7);
+  ShardOptions distributed;
+  distributed.num_shards = 4;
+  distributed.workers = workers;
+  distributed.worker_pool = std::move(pool);
+  distributed.max_retries = max_retries;
+  distributed.retry_backoff = std::chrono::milliseconds(0);
+  auto stream = ShardedStream::Open(cfg.query(), options, distributed);
+  EXPECT_TRUE(stream.ok()) << stream.status().ToString();
+  return stream.ok() ? stream.MoveValue() : nullptr;
+}
+
+IdSet InProcessReference(const Config& cfg) {
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  ShardOptions local;
+  local.num_shards = 4;
+  auto stream = OpenProgXeStream(cfg.query(), options, local);
+  EXPECT_TRUE(stream.ok());
+  return SortedIds(DrainStream(stream->get(), 0, 0));
+}
+
+// The coordinator sends every shard's open, and every round's pumps,
+// before it awaits any reply: K=4 shards over 2 workers have 4 requests in
+// flight at the first await of the open scatter and of a pump round (a
+// serial coordinator would have 1).
+TEST(Net, RoundsScatterEveryRequestBeforeTheFirstAwait) {
+  Rng rng(0xd161);
+  const Config cfg = MakeConfig(&rng, false, false);
+  auto worker_a = MustStartWorker();
+  auto worker_b = MustStartWorker();
+  auto stream =
+      OpenDistributed(cfg, {Endpoint(*worker_a), Endpoint(*worker_b)},
+                      std::make_shared<WorkerPool>(), 0);
+  ASSERT_NE(stream, nullptr);
+  EXPECT_EQ(stream->round_fanout(), 4u) << "opens";
+  std::vector<ResultTuple> batch;
+  stream->NextBatch(0, 64, &batch);
+  EXPECT_EQ(stream->round_fanout(), 4u) << "pumps";
+  EXPECT_TRUE(stream->last_status().ok());
+
+  ShardOptions local;
+  local.num_shards = 4;
+  auto in_process = ShardedStream::Open(cfg.query(), ProgXeOptions(), local);
+  ASSERT_TRUE(in_process.ok());
+  (*in_process)->NextBatch(0, 64, &batch);
+  EXPECT_EQ((*in_process)->round_fanout(), 0u) << "local engines send none";
+}
+
+// A shard.next_batch fault on shard 2 fires while shards 0, 1 and 3 have
+// pumps in flight. With a retry the round recovers bit-identically; without
+// one the stream fails, and failing drains the in-flight replies, so every
+// link goes back to the pool idle and the next query reuses all four.
+TEST(Net, NextBatchFaultAmidInFlightPumpsKeepsLinksReusable) {
+  Rng rng(0xd162);
+  const Config cfg = MakeConfig(&rng, false, false);
+  const IdSet reference = InProcessReference(cfg);
+  auto worker_a = MustStartWorker();
+  auto worker_b = MustStartWorker();
+  const std::vector<std::string> workers = {Endpoint(*worker_a),
+                                            Endpoint(*worker_b)};
+  auto recovered =
+      OpenDistributed(cfg, workers, std::make_shared<WorkerPool>(), 2,
+                      "shard.next_batch:shard=2,max=1");
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(SortedIds(DrainStream(recovered.get(), 0, 128)), reference);
+  EXPECT_TRUE(recovered->last_status().ok());
+  EXPECT_EQ(recovered->coverage().retries, 1u);
+  recovered.reset();
+
+  auto pool = std::make_shared<WorkerPool>();
+  auto failing = OpenDistributed(cfg, workers, pool, 0,
+                                 "shard.next_batch:shard=2");
+  ASSERT_NE(failing, nullptr);
+  std::vector<ResultTuple> batch;
+  EXPECT_EQ(failing->NextBatch(0, 128, &batch), 0u);
+  EXPECT_EQ(failing->round_fanout(), 3u) << "shards 0, 1 and 3 in flight";
+  EXPECT_TRUE(failing->last_status().IsUnavailable())
+      << failing->last_status().ToString();
+  failing.reset();
+  ASSERT_EQ(pool->connections_created(), 4u);
+  ASSERT_EQ(pool->reuses(), 0u);
+
+  auto clean = OpenDistributed(cfg, workers, pool, 0);
+  ASSERT_NE(clean, nullptr);
+  EXPECT_EQ(SortedIds(DrainStream(clean.get(), 0, 128)), reference);
+  EXPECT_TRUE(clean->last_status().ok());
+  EXPECT_EQ(pool->connections_created(), 4u)
+      << "the drained links must be reused, not redialed";
+  EXPECT_EQ(pool->reuses(), 4u);
+}
+
+// A worker dies while the survivor's shards have pumps in flight. With
+// retries the displaced shards re-open on the survivor and the delivered
+// set stays bit-identical; without, the first dead shard fails the stream
+// and the survivor's two in-flight pumps are drained, so a later query on
+// the same pool reuses exactly those two links.
+TEST(Net, WorkerKillAmidInFlightPumpsKeepsSurvivorLinks) {
+  Rng rng(0xd163);
+  const Config cfg = MakeConfig(&rng, false, false);
+  const IdSet reference = InProcessReference(cfg);
+  auto survivor = MustStartWorker();
+  auto pool = std::make_shared<WorkerPool>();
+
+  for (const int max_retries : {8, 0}) {
+    auto doomed = MustStartWorker();
+    // Shards 0 and 2 run on the doomed worker, 1 and 3 on the survivor.
+    auto stream = OpenDistributed(
+        cfg, {Endpoint(*doomed), Endpoint(*survivor)},
+        max_retries > 0 ? std::make_shared<WorkerPool>() : pool,
+        max_retries);
+    ASSERT_NE(stream, nullptr);
+    std::vector<ResultTuple> batch;
+    IdSet delivered;
+    for (int round = 0; round < 2 && !stream->Finished(); ++round) {
+      stream->NextBatch(0, 160, &batch);
+      for (const ResultTuple& res : batch) {
+        delivered.emplace_back(res.r_id, res.t_id);
+      }
+    }
+    ASSERT_FALSE(stream->Finished()) << "the kill must land mid-stream";
+    doomed->Stop();
+    while (!stream->Finished()) {
+      stream->NextBatch(0, 160, &batch);
+      for (const ResultTuple& res : batch) {
+        delivered.emplace_back(res.r_id, res.t_id);
+      }
+    }
+    if (max_retries > 0) {
+      std::sort(delivered.begin(), delivered.end());
+      EXPECT_EQ(delivered, reference);
+      EXPECT_TRUE(stream->last_status().ok());
+      EXPECT_GT(stream->coverage().retries, 0u);
+    } else {
+      EXPECT_TRUE(stream->last_status().IsUnavailable())
+          << stream->last_status().ToString();
+      EXPECT_GE(stream->round_fanout(), 2u) << "shards 1 and 3 in flight";
+    }
+  }
+
+  ASSERT_EQ(pool->reuses(), 0u);
+  auto clean = OpenDistributed(cfg, {Endpoint(*survivor)}, pool, 0);
+  ASSERT_NE(clean, nullptr);
+  EXPECT_EQ(SortedIds(DrainStream(clean.get(), 0, 128)), reference);
+  EXPECT_TRUE(clean->last_status().ok());
+  EXPECT_EQ(pool->reuses(), 2u)
+      << "the survivor's two drained links must be reused";
 }
 
 }  // namespace

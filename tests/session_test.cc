@@ -4,6 +4,7 @@
 // counts and early termination.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -42,7 +43,9 @@ IdSeq DrainSession(const Config& cfg, const ProgXeOptions& options,
   while (!(*session)->Finished()) {
     const size_t n = (*session)->NextBatch(per_call, &batch);
     EXPECT_EQ(n, batch.size());
-    if (per_call != 0) EXPECT_LE(n, per_call);
+    if (per_call != 0) {
+      EXPECT_LE(n, per_call);
+    }
     for (const auto& res : batch) seq.emplace_back(res.r_id, res.t_id);
     if (n == 0) break;
   }
@@ -204,6 +207,24 @@ TEST(Session, OpenValidatesQuery) {
   cfg.pref = Preference::AllLowest(3);  // dimensionality mismatch
   auto session = ProgXeSession::Open(cfg.query(), ProgXeOptions());
   EXPECT_TRUE(session.status().IsInvalidArgument());
+}
+
+// The selectivity hint feeds the partition count: anything but a finite,
+// non-negative number is rejected at Open (0 still means "measure it").
+TEST(Session, OpenRejectsNonFiniteOrNegativeSigmaHint) {
+  Rng rng(0xabce);
+  const Config cfg = MakeConfig(&rng, false, false);
+  for (const double sigma : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -0.01}) {
+    ProgXeOptions options;
+    options.sigma_hint = sigma;
+    auto session = ProgXeSession::Open(cfg.query(), options);
+    EXPECT_TRUE(session.status().IsInvalidArgument())
+        << "sigma_hint=" << sigma << ": " << session.status().ToString();
+  }
+  ProgXeOptions measured;
+  measured.sigma_hint = 0.0;
+  EXPECT_TRUE(ProgXeSession::Open(cfg.query(), measured).ok());
 }
 
 TEST(Session, StatsVisibleBeforeFirstBatch) {
