@@ -59,7 +59,7 @@ RemoteShardStream::~RemoteShardStream() { Close(); }
 
 Status RemoteShardStream::FinishOpen() {
   std::string reply;
-  status_ = conn_->Await(&reply, pool_->options().open_timeout);
+  status_ = conn_->Await(&reply, kOpenTimeout);
   if (!status_.ok()) {
     pool_->ReportFailure(endpoint_);
     return status_;
@@ -94,11 +94,10 @@ Status RemoteShardStream::FinishOpen() {
   return Status::OK();
 }
 
-void RemoteShardStream::StartPump(size_t max_results, size_t max_pairs) {
+void RemoteShardStream::StartPump(size_t max_pairs) {
   if (closed_ || !status_.ok()) return;
   std::string payload;
   WireWriter w(&payload);
-  w.PutU64(static_cast<uint64_t>(max_results));
   w.PutU64(static_cast<uint64_t>(max_pairs));
   status_ = conn_->Send(MsgType::kPump, payload, MsgType::kPumpResult);
   if (!status_.ok()) pool_->ReportFailure(endpoint_);
@@ -115,7 +114,7 @@ size_t RemoteShardStream::FinishPump(std::vector<ResultTuple>* out) {
     // StartPump.
     TraceSpan span(trace_cats::kNet, "net.wait_watermark");
     span.arg("shard", shard_index_);
-    status_ = conn_->Await(&reply, pool_->options().pump_timeout);
+    status_ = conn_->Await(&reply, kPumpTimeout);
   }
   if (!status_.ok()) {
     pool_->ReportFailure(endpoint_);
@@ -179,7 +178,7 @@ void RemoteShardStream::StartClose() {
   }
   std::string reply;
   if (conn_->awaiting() &&
-      !conn_->Await(&reply, pool_->options().pump_timeout).ok()) {
+      !conn_->Await(&reply, kPumpTimeout).ok()) {
     return;
   }
   close_sent_ = conn_->Send(MsgType::kClose, {}, MsgType::kCloseAck).ok();
@@ -190,7 +189,7 @@ void RemoteShardStream::Close() {
   StartClose();
   closed_ = true;
   std::string reply;
-  if (close_sent_ && conn_->Await(&reply, pool_->options().pump_timeout).ok()) {
+  if (close_sent_ && conn_->Await(&reply, kPumpTimeout).ok()) {
     pool_->Return(std::move(conn_));
   }
   conn_.reset();  // broken links die here instead of rejoining the pool

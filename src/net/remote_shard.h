@@ -58,7 +58,7 @@ class RemoteShardStream : public ShardEngine {
   ~RemoteShardStream() override;
 
   Status FinishOpen() override;
-  void StartPump(size_t max_results, size_t max_pairs) override;
+  void StartPump(size_t max_pairs) override;
   size_t FinishPump(std::vector<ResultTuple>* out) override;
   bool awaiting_reply() const override {
     return conn_ != nullptr && conn_->awaiting();

@@ -357,9 +357,7 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
   w->PutU8(static_cast<uint8_t>(options.signature_mode));
   w->PutDouble(options.sigma_hint);
   w->PutU64(options.seed);
-  w->PutI64(options.max_output_cells);
   w->PutI64(options.fault_instance);
-  w->PutU64(options.max_results);
   // Refinement seed travels inline: it affects the regions_discarded_seed
   // counter, which the bit-identity contract covers.
   if (options.refinement_seed != nullptr) {
@@ -395,13 +393,11 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   ProgXeOptions o;
   uint8_t ordering, push_through, partitioning, signature_mode;
   int64_t in_cpd, out_cpd, fault_instance;
-  uint64_t max_results;
   if (!r->GetU8(&ordering) || !r->GetU8(&push_through) ||
       !r->GetU8(&partitioning) || !r->GetI64(&in_cpd) ||
       !r->GetI64(&out_cpd) || !r->GetU8(&signature_mode) ||
       !r->GetDouble(&o.sigma_hint) || !r->GetU64(&o.seed) ||
-      !r->GetI64(&o.max_output_cells) || !r->GetI64(&fault_instance) ||
-      !r->GetU64(&max_results)) {
+      !r->GetI64(&fault_instance)) {
     return r->status();
   }
   if (ordering > static_cast<uint8_t>(OrderingMode::kSequential) ||
@@ -427,7 +423,6 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   o.push_through = push_through != 0;
   o.partitioning = static_cast<PartitioningScheme>(partitioning);
   o.signature_mode = static_cast<SignatureMode>(signature_mode);
-  o.max_results = max_results;
   uint8_t has_seed;
   if (!r->GetU8(&has_seed)) return r->status();
   if (has_seed != 0) {

@@ -23,7 +23,8 @@
 //                          checkpoint (-> one ProgXeSession)
 //   kOpenResult            Status + initial watermark + prepare-phase stats
 //                          + resume info
-//   kPump                  budgeted NextBatch request (max_results/max_pairs)
+//   kPump                  budgeted pump request (max_pairs only; a shard
+//                          never caps its output, the merge does)
 //   kPumpResult            Status + candidate batch + watermark + stats +
 //                          optional checkpoint
 //   kHeartbeat             liveness signal during a long pump/open
@@ -58,7 +59,7 @@ namespace progxe {
 /// frame is ever parsed across a version boundary (version history:
 /// docs/worker_protocol.md).
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
-inline constexpr uint16_t kWireVersion = 3;
+inline constexpr uint16_t kWireVersion = 4;
 
 /// Hard ceiling on one frame's payload. Large enough for a full relation
 /// slice of any workload this engine targets; small enough that a corrupted
@@ -160,8 +161,10 @@ Status ReadMapSpec(WireReader* r, MapSpec* out);
 void WritePreference(const Preference& pref, WireWriter* w);
 Status ReadPreference(WireReader* r, Preference* out);
 
-/// Serializes every *value* field of ProgXeOptions (including an inline
-/// refinement seed) — everything that affects results or counters. The
+/// Serializes the value fields of ProgXeOptions that shape a shard's
+/// session (including an inline refinement seed) — everything that affects
+/// its results or counters. max_results does not travel: the cap belongs
+/// to the merged stream, and a worker session always runs uncapped. The
 /// pointer fields (faults, prepare_cache) are coordinator-local by design
 /// and decode as null.
 void WriteOptions(const ProgXeOptions& options, WireWriter* w);

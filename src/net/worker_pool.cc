@@ -151,7 +151,7 @@ Result<std::unique_ptr<WorkerConnection>> WorkerPool::Checkout(
     }
   }
 
-  auto dialed = DialTcp(endpoint, options_.connect_timeout);
+  auto dialed = DialTcp(endpoint, kConnectTimeout);
   if (!dialed.ok()) {
     ReportFailure(endpoint);
     return dialed.status();
@@ -166,7 +166,7 @@ Result<std::unique_ptr<WorkerConnection>> WorkerPool::Checkout(
   w.PutU16(kWireVersion);
   std::string ack;
   Status st = conn->Call(MsgType::kHello, hello, MsgType::kHelloAck, &ack,
-                         options_.connect_timeout);
+                         kConnectTimeout);
   if (!st.ok()) {
     ReportFailure(endpoint);
     return st;

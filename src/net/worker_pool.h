@@ -33,18 +33,20 @@
 
 namespace progxe {
 
-/// Transport tunables, carried alongside the worker endpoint list.
-struct NetOptions {
-  /// Dial + handshake budget for one connection attempt.
-  std::chrono::milliseconds connect_timeout{2000};
-  /// Reply budget for kOpenShard (covers slice deserialization + the whole
-  /// prepare phase; heartbeats reset it).
-  std::chrono::milliseconds open_timeout{30000};
-  /// Reply budget for kPump/kClose (heartbeats reset it). This is the
-  /// worker-failure detection horizon: a worker silent for this long is
-  /// declared dead (kUnavailable) and the shard retries elsewhere.
-  std::chrono::milliseconds pump_timeout{10000};
+/// Dial + handshake budget for one connection attempt.
+inline constexpr std::chrono::milliseconds kConnectTimeout{2000};
+/// Reply budget for kOpenShard (covers slice deserialization + the whole
+/// prepare phase; heartbeats reset it).
+inline constexpr std::chrono::milliseconds kOpenTimeout{30000};
+/// Reply budget for kPump/kClose (heartbeats reset it). This is the
+/// worker-failure detection horizon: a worker silent for this long is
+/// declared dead (kUnavailable) and the shard retries elsewhere.
+inline constexpr std::chrono::milliseconds kPumpTimeout{10000};
 
+/// Endpoint-health tunables of a WorkerPool. The reply deadlines above are
+/// constants; only the breaker is configurable, because tests need short
+/// cooldowns.
+struct NetOptions {
   /// Per-endpoint circuit breaker: this many *consecutive* transport
   /// failures (dial, handshake, open or pump) open the endpoint's circuit
   /// and shard placement routes around it for a cooldown. <= 0 disables
@@ -122,8 +124,6 @@ class WorkerPool {
   /// Returns a healthy, idle connection to the cache for reuse. Unhealthy
   /// connections, and ones still awaiting a reply, are closed and dropped.
   void Return(std::unique_ptr<WorkerConnection> conn);
-
-  const NetOptions& options() const { return options_; }
 
   /// Endpoint health tracking (circuit breaker). Checkout reports dial and
   /// handshake outcomes itself; RPC users (RemoteShardStream) report

@@ -13,6 +13,7 @@
 #include "mapping/map_expr.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "obs/trace.h"
 #include "prefs/preference.h"
 #include "progxe/session.h"
 
@@ -45,7 +46,7 @@ Status SendError(int fd, const Status& status) {
 
 /// Emits kHeartbeat frames on `fd` every `interval` for as long as the
 /// scope lives. Used around kOpenShard handling, whose prepare phase can
-/// exceed the coordinator's open_timeout: the coordinator's deadline must
+/// exceed the coordinator's kOpenTimeout: the coordinator's deadline must
 /// keep measuring liveness, not prepare duration (worker_pool.h contract).
 /// The owning scope must not send any frame while the ticker is live —
 /// concurrent writers would interleave mid-frame.
@@ -216,6 +217,8 @@ void WorkerServer::HandleConnection(int fd) {
         break;
       }
       case MsgType::kOpenShard: {
+        // One span per request attributes all of the handler's work.
+        TraceSpan span(trace_cats::kNet, "worker.open");
         {
           std::lock_guard<std::mutex> lock(mtx_);
           if (draining_) {
@@ -232,7 +235,7 @@ void WorkerServer::HandleConnection(int fd) {
             Status::Internal("open_shard never ran");
         {
           // Slice deserialization plus the whole prepare phase can outlast
-          // the coordinator's open_timeout; tick heartbeats so its deadline
+          // the coordinator's kOpenTimeout; tick heartbeats so its deadline
           // measures liveness. No other frame may be sent in this scope.
           HeartbeatTicker ticker(fd, options_.heartbeat_interval);
           WireReader r(payload);
@@ -255,6 +258,7 @@ void WorkerServer::HandleConnection(int fd) {
             parse_error = r.status();
           } else {
             next->shard_index = static_cast<int>(shard_index);
+            span.arg("shard", next->shard_index);
             SkyMapJoinQuery query;
             query.r = &next->r;
             query.t = &next->t;
@@ -315,15 +319,16 @@ void WorkerServer::HandleConnection(int fd) {
         break;
       }
       case MsgType::kPump: {
+        TraceSpan span(trace_cats::kNet, "worker.pump");
         if (state == nullptr || state->session == nullptr) {
           SendError(fd, Status::InvalidArgument("pump without an open shard"));
           ok = false;
           break;
         }
+        span.arg("shard", state->shard_index);
         WireReader r(payload);
-        uint64_t max_results = 0;
         uint64_t max_pairs = 0;
-        if (!r.GetU64(&max_results) || !r.GetU64(&max_pairs) || !r.AtEnd()) {
+        if (!r.GetU64(&max_pairs) || !r.AtEnd()) {
           SendError(fd, Status::InvalidArgument("malformed pump payload"));
           ok = false;
           break;

@@ -35,7 +35,8 @@
 //             shard.retry_backoff / shard.abandon instants
 //   cache     cache.hit / cache.miss instants
 //   net       net.send / net.recv frame I/O spans,
-//             net.wait_watermark — coordinator blocked on a pump reply
+//             net.wait_watermark — coordinator blocked on a pump reply,
+//             worker.open / worker.pump — one worker request, end to end
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,6 @@
 // SessionCheckpoint: a compact, resumable snapshot of a ProgXeSession's
 // region cursor, exported at region boundaries and consumed by a re-opened
-// incarnation of the same prepared inputs (PR 10).
+// incarnation of the same prepared inputs.
 //
 // The checkpoint does NOT carry tuples or table state — regeneration is the
 // recovery mechanism, the checkpoint only bounds it. `skip_regions` lists
@@ -35,12 +35,14 @@
 // how many regions were processed before.
 //
 // A resumed incarnation may still emit tuples *outside* the true local
-// skyline (a suppressor from a skipped region is absent); the sharded merge
-// compensates by keeping the resumed shard's own watermark in the release
-// check (see shard/sharded_stream.h) and by its per-shard dedup set, so the
-// merged delivered set stays bit-identical.
+// skyline (a suppressor from a skipped region is absent), and may re-emit
+// tuples the dead incarnation delivered. The sharded merge compensates by
+// keeping the resumed shard's own watermark in the release check and by
+// its accepted frontier, which drops an arrival whose own pair key is
+// already accepted (see shard/sharded_stream.h), so the merged delivered
+// set stays bit-identical.
 //
-// Checkpoints travel over the wire (v2 `kOpenShard` field group) to resume
+// Checkpoints travel over the wire (`kOpenShard` field group) to resume
 // remote shards; all fields are validated on restore and a stale or corrupt
 // checkpoint is rejected with kInvalidArgument, which callers treat as
 // "fall back to full replay".
@@ -59,7 +61,8 @@ struct SessionCheckpoint {
   /// Output-table frontier epoch at capture (observability/validation).
   uint64_t frontier_epoch = 0;
   /// Results the capturing incarnation had delivered when the checkpoint
-  /// was taken (cross-checked against the coordinator's dedup set).
+  /// was taken. The coordinator adopts the checkpoint only when this is at
+  /// most what that incarnation sent it.
   uint64_t delivered = 0;
   /// Total region count of the prepared lookahead (validation: a checkpoint
   /// only resumes the exact same PreparedInputs).

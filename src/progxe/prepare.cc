@@ -220,7 +220,6 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   TraceSpan lookahead_span(trace_cats::kPrepare, "prepare.lookahead");
   LookaheadOptions la_options;
   la_options.output_cells_per_dim = out->resolved_output_cells_per_dim;
-  la_options.max_output_cells = options.max_output_cells;
   PROGXE_ASSIGN_OR_RETURN(
       out->lookahead,
       OutputSpaceLookahead(*out->r_grid, *out->t_grid, out->mapper,

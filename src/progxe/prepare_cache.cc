@@ -75,7 +75,6 @@ void AbsorbQuery(Hasher* h, const SkyMapJoinQuery& query,
   h->U64(static_cast<uint64_t>(options.output_cells_per_dim));
   h->U64(static_cast<uint64_t>(options.signature_mode));
   h->F64(options.sigma_hint);
-  h->I64(options.max_output_cells);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 // mapper's signs, which the contribution tables bake in), and the
 // prepare-affecting options (push_through, partitioning scheme, raw
 // input/output grid resolutions, signature mode, bloom parameters,
-// sigma_hint, max_output_cells). Consumption-side options — ordering,
+// sigma_hint). Consumption-side options — ordering,
 // batch size, thread count, seed, budgets, faults, seeding — are
 // deliberately excluded: they never change what the prepare phase builds.
 #pragma once

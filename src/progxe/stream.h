@@ -43,28 +43,22 @@ struct ShardOptions {
 
   /// Fault containment (sharded stream only). A retryable sub-session
   /// failure quarantines just that shard; the stream re-opens it after an
-  /// exponential backoff and replays it from scratch — safe because shards
-  /// are deterministic and the merge sink deduplicates replayed deliveries,
-  /// so the delivered set stays bit-identical to a fault-free run. This is
-  /// the number of *consecutive* failures tolerated per shard before the
-  /// retry budget is exhausted (a successful pump resets it); 0 disables
-  /// retry. The PROGXE_FAULT_RETRIES environment variable, when set,
-  /// overrides this — the CI soak uses it to make random fault schedules
-  /// survivable without touching per-test options.
+  /// exponential backoff and replays it — safe because shards are
+  /// deterministic and the merge's accepted frontier absorbs replayed
+  /// deliveries, so the delivered set stays bit-identical to a fault-free
+  /// run. This is the number of *consecutive* failures tolerated per shard
+  /// before the retry budget is exhausted (a successful pump resets it); 0
+  /// disables retry. The PROGXE_FAULT_RETRIES environment variable, when
+  /// set, overrides this — the CI soak uses it to make random fault
+  /// schedules survivable without touching per-test options.
   int max_retries = 2;
 
   /// Backoff before the first re-open; doubles per consecutive failure
-  /// (capped at 64x). During backoff a budgeted NextBatch yields (returns
-  /// 0) so a scheduler can keep checking cancel/deadline; an unbudgeted
-  /// call sleeps.
+  /// (capped at 64x), with a fixed seeded ±25% jitter so simultaneously
+  /// sick shards spread their re-opens (JitteredRetryBackoff). During
+  /// backoff a budgeted NextBatch yields (returns 0) so a scheduler can
+  /// keep checking cancel/deadline; an unbudgeted call sleeps.
   std::chrono::milliseconds retry_backoff{1};
-
-  /// Seeded jitter applied to each backoff as a ±fraction (0.25 = ±25%),
-  /// derived deterministically from (options.seed, shard, failure count) so
-  /// K simultaneously-sick shards spread their re-opens instead of
-  /// synchronizing — and so a given seed always reproduces the same
-  /// schedule. 0 disables jitter (exact exponential backoff).
-  double retry_jitter = 0.25;
 
   /// Stream-wide retry budget: the total number of shard re-opens the
   /// stream may *commit to* across all shards and incarnations (each
@@ -95,14 +89,14 @@ struct ShardOptions {
   /// scheduler passes its process-wide one.
   std::shared_ptr<WorkerPool> worker_pool;
 
-  /// Checkpointed retry (PR 10). When true (default) the stream captures a
-  /// resumable SessionCheckpoint from each shard after every healthy pump
-  /// and hands it to the re-opened incarnation, which pre-removes the
-  /// checkpoint's skip-safe regions instead of replaying the whole
-  /// sub-session — bounding replay pairs (and re-shipped bytes for remote
-  /// shards on v2 links). The delivered set is bit-identical either way;
-  /// the dedup set remains the safety net. False restores the PR 6
-  /// from-scratch replay behavior.
+  /// Checkpointed retry. When true (default) the stream captures a
+  /// resumable SessionCheckpoint from each shard after a healthy pump whose
+  /// skip set grew and hands it to the re-opened incarnation, which
+  /// pre-removes the checkpoint's skip-safe regions instead of replaying
+  /// the whole sub-session — bounding replay pairs. The delivered set is
+  /// bit-identical either way: the accepted frontier absorbs whatever the
+  /// resumed incarnation re-delivers. False replays from scratch (the
+  /// reference arm of the recovery bench and tests).
   bool checkpoint_retry = true;
 };
 

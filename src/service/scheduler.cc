@@ -478,8 +478,8 @@ QueryState RunSlice(SchedulerCore* core, const RecordPtr& rec,
     return QueryState::kFailed;
   }
   const uint64_t before = rec->stream->stats().join_pairs_generated;
-  rec->stream->NextBatch(core->options.max_batch_results,
-                         core->options.batch_budget, batch);
+  rec->stream->NextBatch(/*max_results=*/0, core->options.batch_budget,
+                         batch);
   *pairs = rec->stream->stats().join_pairs_generated - before;
   *delivered = batch->size();
   if (!batch->empty()) {

@@ -79,9 +79,6 @@ struct ServiceOptions {
   /// time-to-first-result at a small switching cost.
   size_t batch_budget = 4096;
 
-  /// Per-OnBatch result cap (0 = deliver everything a slice produced).
-  size_t max_batch_results = 0;
-
   /// Admission control: at most this many queries hold an open stream at
   /// once (0 = unbounded). Further submissions wait in FIFO order.
   size_t max_concurrent = 8;

@@ -41,13 +41,13 @@ class ShardEngine {
   /// waits on any. Engines that open in their factory have nothing to do.
   virtual Status FinishOpen() { return Status::OK(); }
 
-  /// Budgeted pump, same contract as ProgXeStream::NextBatch, in two
-  /// phases: StartPump(max_results, max_pairs) asks to advance by at most
-  /// ~max_pairs join pairs (0 = until at least one result or done) and to
-  /// deliver up to max_results locally-final tuples (0 = uncapped); the
-  /// matching FinishPump delivers them. Exactly one FinishPump follows each
+  /// Budgeted pump, same contract as an uncapped ProgXeStream::NextBatch
+  /// (the merge alone enforces the result cap), in two phases:
+  /// StartPump(max_pairs) asks to advance by at most ~max_pairs join pairs
+  /// (0 = until at least one result or done); the matching FinishPump
+  /// delivers the locally-final tuples. Exactly one FinishPump follows each
   /// StartPump; a failure in either phase lands in last_status().
-  virtual void StartPump(size_t max_results, size_t max_pairs) = 0;
+  virtual void StartPump(size_t max_pairs) = 0;
   virtual size_t FinishPump(std::vector<ResultTuple>* out) = 0;
 
   /// True while a request sent by StartOpen/StartPump awaits its reply
@@ -113,12 +113,9 @@ class LocalShardEngine : public ShardEngine {
   explicit LocalShardEngine(std::unique_ptr<ProgXeSession> session)
       : session_(std::move(session)) {}
 
-  void StartPump(size_t max_results, size_t max_pairs) override {
-    max_results_ = max_results;
-    max_pairs_ = max_pairs;
-  }
+  void StartPump(size_t max_pairs) override { max_pairs_ = max_pairs; }
   size_t FinishPump(std::vector<ResultTuple>* out) override {
-    return session_->NextBatch(max_results_, max_pairs_, out);
+    return session_->NextBatch(/*max_results=*/0, max_pairs_, out);
   }
   void Close() override { session_->Close(); }
   const ProgXeStats& stats() const override { return session_->stats(); }
@@ -139,7 +136,6 @@ class LocalShardEngine : public ShardEngine {
 
  private:
   std::unique_ptr<ProgXeSession> session_;
-  size_t max_results_ = 0;
   size_t max_pairs_ = 0;
 };
 

@@ -91,14 +91,14 @@ std::chrono::nanoseconds JitteredRetryBackoff(const ShardOptions& opts,
   const auto base = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         opts.retry_backoff) *
                     (1 << exp);
-  if (opts.retry_jitter == 0.0 || base.count() == 0) return base;
+  if (base.count() == 0) return base;
   // One uniform draw in [0, 1) per (seed, shard, attempt) triple; the top
   // 53 bits give an exact double.
   const uint64_t h =
       Mix64(seed ^ Mix64(static_cast<uint64_t>(shard) * 0x9e3779b97f4a7c15ULL +
                          static_cast<uint64_t>(consecutive_failures)));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  const double factor = std::max(0.0, 1.0 + opts.retry_jitter * (2.0 * u - 1.0));
+  const double factor = 1.0 + kRetryJitter * (2.0 * u - 1.0);
   return std::chrono::nanoseconds(static_cast<int64_t>(
       std::llround(static_cast<double>(base.count()) * factor)));
 }
@@ -210,6 +210,7 @@ bool ShardedStream::AllExhausted() const {
 
 Status ShardedStream::StartOpenShard(size_t i) {
   SubShard& shard = shards_[i];
+  shard.received = 0;
   PROGXE_RETURN_NOT_OK(MaybeInjectFault(faults_, fault_sites::kShardOpen,
                                         static_cast<int>(i)));
   ProgXeOptions opts = sub_options_;
@@ -319,7 +320,7 @@ void ShardedStream::OnShardFailure(size_t i, Status status) {
     // Quarantine: only this shard stops; everyone else keeps pumping and
     // releasing against its frozen pre-failure bound. Exponential backoff
     // (capped at 64x so a long retry fight stays responsive) with seeded
-    // ±retry_jitter so simultaneously-sick shards desynchronize. The
+    // ±kRetryJitter so simultaneously-sick shards desynchronize. The
     // stream-wide budget is committed here, not at the re-open, so shards
     // quarantining in the same round cannot collectively overdraw it.
     ++retries_committed_;
@@ -344,7 +345,6 @@ void ShardedStream::OnShardFailure(size_t i, Status status) {
     // rest of the stream completes as the skyline of the data actually
     // observed, and coverage() reports the hole.
     shard.abandoned = true;
-    std::unordered_set<uint64_t>().swap(shard.ingested);
     shard.has_checkpoint = false;
     bounds_dirty_ = true;  // its bound no longer constrains releases
     TraceInstant(trace_cats::kShard, "shard.abandon", "shard",
@@ -415,7 +415,7 @@ uint64_t ShardedStream::PumpRound(size_t per_shard) {
       st = MaybeInjectFault(faults_, fault_sites::kShardNextBatch,
                             static_cast<int>(i));
     }
-    if (st.ok()) shard.session->StartPump(/*max_results=*/0, per_shard);
+    if (st.ok()) shard.session->StartPump(per_shard);
     shard.round = std::move(st);
   }
   CountScatter();
@@ -449,16 +449,17 @@ uint64_t ShardedStream::PumpRound(size_t per_shard) {
       continue;
     }
     shard.consecutive_failures = 0;  // a healthy pump re-arms the budget
+    shard.received += pump_scratch_.size();
     Ingest(i, pump_scratch_);
     if (shard_options_.checkpoint_retry && shard_options_.max_retries > 0) {
       // Capture the freshest resume point while the shard is healthy; a
       // later retry hands it to the re-opened incarnation. Only adopt a
-      // checkpoint whose delivered count is consistent with what this
-      // coordinator actually merged (a stale/corrupt remote snapshot must
-      // not survive to a resume — full replay is always sound).
+      // checkpoint whose delivered count does not exceed what this very
+      // incarnation sent the coordinator (a stale/corrupt remote snapshot
+      // must not survive to a resume — full replay is always sound).
       SessionCheckpoint checkpoint;
       if (shard.session->ExportCheckpoint(&checkpoint) &&
-          checkpoint.delivered <= shard.ingested.size()) {
+          checkpoint.delivered <= shard.received) {
         shard.checkpoint = std::move(checkpoint);
         shard.has_checkpoint = true;
       }
@@ -490,24 +491,14 @@ void ShardedStream::Ingest(size_t shard_idx,
   TraceSpan span(trace_cats::kShard, "shard.merge");
   span.arg("shard", static_cast<int64_t>(shard_idx));
   span.arg("batch", static_cast<int64_t>(batch.size()));
-  SubShard& owner = shards_[shard_idx];
-  const QueryShard& slice = owner.slice;
-  // Replay dedup is only needed when a re-open can happen at all.
-  const bool track_replay = shard_options_.max_retries > 0;
+  const QueryShard& slice = shards_[shard_idx].slice;
   const size_t k = static_cast<size_t>(k_);
   for (const ResultTuple& local : batch) {
     const RowId orig_r = slice.r_orig_ids[local.r_id];
     const RowId orig_t = slice.t_orig_ids[local.t_id];
-    if (track_replay) {
-      // Each (shard, pair) is merged at most once *ever*, across
-      // incarnations. Without this, a replayed delivery would be
-      // point-equal to its accepted twin — which strict dominance cannot
-      // filter — and the stream would emit a duplicate. RowId is 32-bit,
-      // so the pair packs losslessly.
-      const uint64_t key =
-          (static_cast<uint64_t>(orig_r) << 32) | static_cast<uint64_t>(orig_t);
-      if (!owner.ingested.insert(key).second) continue;
-    }
+    // RowId is 32-bit, so the original pair packs losslessly.
+    const uint64_t key =
+        (static_cast<uint64_t>(orig_r) << 32) | static_cast<uint64_t>(orig_t);
     double* canon = canon_scratch_.data();
     for (size_t j = 0; j < k; ++j) {
       canon[j] = mapper_.Canonicalize(static_cast<int>(j), local.values[j]);
@@ -519,12 +510,20 @@ void ShardedStream::Ingest(size_t shard_idx,
     // provably outside the global skyline. A dominator's canonical cell
     // must lie in the arrival's <= cone, so the cone sweep visits only the
     // real candidates instead of the whole accepted set.
+    //
+    // The same sweep makes replay idempotent: a replayed delivery is
+    // point-equal to its earlier twin, which strict dominance cannot
+    // filter, so an entry with the arrival's own pair key counts as a
+    // dominator. An entry leaves the index only when a strictly dominating
+    // arrival replaces it, so either the twin is still live in the
+    // arrival's cell or a live entry strictly dominates the arrival.
+    // Ties between distinct pairs keep distinct keys and both survive.
     bool dominated = false;
     accepted_.SweepLe(coords, [&](size_t pos) {
-      const double* a =
-          acc_canon_.data() +
-          static_cast<size_t>(accepted_.payload(pos)) * k;
-      if (DominatesMin(a, canon, k_, &merge_counter_)) {
+      const size_t id = static_cast<size_t>(accepted_.payload(pos));
+      if (acc_key_[id] == key ||
+          DominatesMin(acc_canon_.data() + id * k, canon, k_,
+                       &merge_counter_)) {
         dominated = true;
         return false;
       }
@@ -551,6 +550,7 @@ void ShardedStream::Ingest(size_t shard_idx,
     // Admit: enter the accepted frontier and the held queue.
     const int32_t acc_id = static_cast<int32_t>(acc_pos_.size());
     acc_canon_.insert(acc_canon_.end(), canon, canon + k);
+    acc_key_.push_back(key);
     acc_pos_.push_back(accepted_.Add(coords, acc_id));
     acc_held_.push_back(static_cast<int32_t>(held_.size()));
     Candidate candidate;
@@ -631,11 +631,9 @@ void ShardedStream::RefreshBoundsAndRelease() {
     if (!shard.session->RemainingLowerBound(&bound_scratch_)) {
       shard.exhausted = true;
       advanced = true;
-      // The shard finished healthy: nothing can ever replay it, so the
-      // replay-dedup set (the largest per-shard merge structure) and the
-      // resume checkpoint are dead weight — free them now instead of at
+      // The shard finished healthy: nothing can ever replay it, so its
+      // resume checkpoint is dead weight — free it now instead of at
       // stream teardown.
-      std::unordered_set<uint64_t>().swap(shard.ingested);
       shard.checkpoint = SessionCheckpoint{};
       shard.has_checkpoint = false;
     } else if (shard.bound.empty()) {
@@ -759,6 +757,8 @@ void ShardedStream::ReleaseMergeState() {
   accepted_ = DominanceIndex(k_, merge_grid_.cells_per_dim());
   acc_canon_.clear();
   acc_canon_.shrink_to_fit();
+  acc_key_.clear();
+  acc_key_.shrink_to_fit();
   acc_pos_.clear();
   acc_held_.clear();
 }

@@ -39,10 +39,10 @@
 // failure quarantines only that shard: its session is torn down and
 // re-opened after exponential backoff (ShardOptions::max_retries /
 // retry_backoff), and because a shard is a deterministic function of its
-// slice + options, the replay re-delivers the same local skyline — a
-// per-shard dedup set plus the accepted-frontier filtering make the replay
-// idempotent, so the merged delivered set stays bit-identical to a
-// fault-free run with zero retractions. With
+// slice + options, the replay re-delivers the same local skyline. The
+// accepted frontier drops every replayed pair by its key (see Ingest), so
+// the merged delivered set stays bit-identical to a fault-free run with
+// zero retractions. With
 // ShardOptions::checkpoint_retry the coordinator additionally captures a
 // resumable SessionCheckpoint from each healthy pump whose skip set grew
 // (an unchanged one is neither re-sent nor copied) and hands it to the
@@ -67,7 +67,6 @@
 #include <chrono>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -83,9 +82,12 @@
 
 namespace progxe {
 
+/// Seeded jitter of every retry backoff, as a ±fraction of the base.
+inline constexpr double kRetryJitter = 0.25;
+
 /// The deterministic jittered backoff before re-opening a quarantined
 /// shard: retry_backoff doubled per consecutive failure (capped at 64x),
-/// scaled by a factor in [1 - retry_jitter, 1 + retry_jitter) drawn from
+/// scaled by a factor in [1 - kRetryJitter, 1 + kRetryJitter) drawn from
 /// a splitmix64 mix of (seed, shard, consecutive_failures). Pure function
 /// of its arguments — the same seed always reproduces the same schedule —
 /// while distinct shards (and successive attempts of one shard) land on
@@ -152,14 +154,6 @@ class ShardedStream : public ProgXeStream {
   /// coordinator would read 1; in-process engines send none (diagnostic).
   size_t round_fanout() const { return round_fanout_; }
 
-  /// Total live entries across the per-shard replay-dedup sets
-  /// (diagnostic; drops to 0 per shard as each finishes healthy).
-  size_t dedup_entries() const {
-    size_t n = 0;
-    for (const SubShard& shard : shards_) n += shard.ingested.size();
-    return n;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -207,13 +201,9 @@ class ShardedStream : public ProgXeStream {
     /// Counters of failed incarnations, summed — stats() adds these to the
     /// live session's so retried work stays auditable.
     ProgXeStats lost_stats;
-    /// Replay dedup: packed original (r_id << 32 | t_id) of every tuple
-    /// this shard already ingested into the merge, across incarnations. A
-    /// replayed duplicate is point-*equal* to its accepted twin, which
-    /// strict dominance would not filter — this set is what makes replay
-    /// idempotent. Only populated when retries are enabled, and freed as
-    /// soon as the shard finishes healthy (nothing can replay then).
-    std::unordered_set<uint64_t> ingested;
+    /// Tuples the current incarnation delivered to the merge. A checkpoint
+    /// claiming more deliveries than this is inconsistent and is dropped.
+    uint64_t received = 0;
     /// Freshest resume point captured from a healthy pump
     /// (ShardOptions::checkpoint_retry); handed to the next incarnation on
     /// a retry re-open so it skips the finished regions.
@@ -272,8 +262,9 @@ class ShardedStream : public ProgXeStream {
   uint64_t PumpRound(size_t per_shard);
   /// Sets round_fanout_: the engines awaiting a reply after a scatter.
   void CountScatter();
-  /// Filters a sub-session batch through the accepted-frontier index and
-  /// admits the survivors into the held queue.
+  /// Filters a sub-session batch through the accepted-frontier index
+  /// (dominated arrivals and replayed pairs are dropped) and admits the
+  /// survivors into the held queue.
   void Ingest(size_t shard_idx, const std::vector<ResultTuple>& batch);
   /// Removes a (necessarily held) accepted entry that a new arrival
   /// strictly dominates from the index and the held queue.
@@ -338,6 +329,7 @@ class ShardedStream : public ProgXeStream {
   /// their dominator, so every live entry is released or held.
   DominanceIndex accepted_;
   std::vector<double> acc_canon_;   // k_ doubles per acc id, append-only
+  std::vector<uint64_t> acc_key_;   // acc id -> original r_id << 32 | t_id
   std::vector<int32_t> acc_pos_;    // acc id -> index position (-1 pruned)
   std::vector<int32_t> acc_held_;   // acc id -> held_ position (-1 if not held)
 

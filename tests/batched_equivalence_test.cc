@@ -15,39 +15,12 @@
 #include <vector>
 
 #include "equivalence_common.h"
-#include "skyline/skyline.h"
 
 namespace progxe {
 namespace {
 
 using test::Config;
 using test::MakeConfig;
-
-/// Oracle per the issue: materialize the join, canonicalize the mapped
-/// values under the preference, and run the O(n^2) SkylineReference.
-std::vector<std::pair<RowId, RowId>> Oracle(const Config& cfg) {
-  const int k = cfg.map.output_dimensions();
-  std::vector<double> canon;
-  std::vector<std::pair<RowId, RowId>> ids;
-  std::vector<double> v(static_cast<size_t>(k));
-  for (RowId a = 0; a < cfg.r.size(); ++a) {
-    for (RowId b = 0; b < cfg.t.size(); ++b) {
-      if (cfg.r.join_key(a) != cfg.t.join_key(b)) continue;
-      cfg.map.Eval(cfg.r.attrs(a), cfg.t.attrs(b), v.data());
-      for (int j = 0; j < k; ++j) {
-        canon.push_back(cfg.pref.Canonicalize(j, v[static_cast<size_t>(j)]));
-      }
-      ids.emplace_back(a, b);
-    }
-  }
-  PointView view{canon.data(), ids.size(), k};
-  std::vector<std::pair<RowId, RowId>> skyline;
-  for (uint32_t idx : SkylineReference(view)) {
-    skyline.push_back(ids[idx]);
-  }
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
-}
 
 std::vector<std::pair<RowId, RowId>> Sorted(
     const std::vector<ResultTuple>& results) {
@@ -133,7 +106,7 @@ TEST_P(BatchedEquivalenceSweep, MatchesOracleAndGoldenCounters) {
   Rng rng(0xba7c4 + static_cast<uint64_t>(param));
   // Every third config is heavily tied; every fourth has high sigma.
   const Config cfg = MakeConfig(&rng, param % 3 == 0, param % 4 == 0);
-  const auto oracle = Oracle(cfg);
+  const auto oracle = test::SkylineOracle(cfg);
 
   ProgXeStats stats;
   auto results = RunConfig(cfg, &stats);

@@ -1,18 +1,21 @@
 // Shared helpers for the executor-equivalence test suites
-// (batched_equivalence_test, session_test): a randomized SkyMapJoin config
-// generator and the ProgXeStats counter-identity assertion. Keeping these
-// in one place means a counter added to ProgXeStats is guarded by every
+// (batched_equivalence_test, session_test, the shard and net suites): a
+// randomized SkyMapJoin config generator, the materialize-and-skyline
+// oracle and the ProgXeStats counter-identity assertion. Keeping these in
+// one place means a counter added to ProgXeStats is guarded by every
 // equivalence suite at once.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "data/generator.h"
 #include "progxe/executor.h"
+#include "skyline/skyline.h"
 
 namespace progxe {
 namespace test {
@@ -77,6 +80,58 @@ inline Config MakeConfig(Rng* rng, bool tied, bool high_sigma) {
   cfg.map = MapSpec(std::move(funcs));
   cfg.pref = Preference(std::move(dirs));
   return cfg;
+}
+
+/// MakeConfig with every R row appended a second time (same attributes,
+/// same join key): each join pair then has a twin pair with an identical
+/// output point, so every shard's local skyline is full of exact ties.
+inline Config MakeTwinConfig(Rng* rng, bool high_sigma) {
+  Config cfg = MakeConfig(rng, /*tied=*/false, high_sigma);
+  const RowId n = static_cast<RowId>(cfg.r.size());
+  for (RowId i = 0; i < n; ++i) {
+    // Copy first: appending may reallocate the storage attrs() points into.
+    const std::vector<double> attrs(cfg.r.attrs(i).begin(),
+                                    cfg.r.attrs(i).end());
+    cfg.r.Append(attrs, cfg.r.join_key(i));
+  }
+  return cfg;
+}
+
+/// The canonical (minimize-all) output point of join pair (a, b).
+inline std::vector<double> CanonicalPoint(const Config& cfg, RowId a,
+                                          RowId b) {
+  const int k = cfg.map.output_dimensions();
+  std::vector<double> v(static_cast<size_t>(k));
+  cfg.map.Eval(cfg.r.attrs(a), cfg.t.attrs(b), v.data());
+  for (int j = 0; j < k; ++j) {
+    v[static_cast<size_t>(j)] =
+        cfg.pref.Canonicalize(j, v[static_cast<size_t>(j)]);
+  }
+  return v;
+}
+
+/// The reference answer: materialize the join, canonicalize the mapped
+/// values under the preference and run the O(n^2) SkylineReference. Sorted
+/// (r_id, t_id) pairs; exact ties all survive, so this is a multiset.
+inline std::vector<std::pair<RowId, RowId>> SkylineOracle(const Config& cfg) {
+  const int k = cfg.map.output_dimensions();
+  std::vector<double> canon;
+  std::vector<std::pair<RowId, RowId>> ids;
+  for (RowId a = 0; a < cfg.r.size(); ++a) {
+    for (RowId b = 0; b < cfg.t.size(); ++b) {
+      if (cfg.r.join_key(a) != cfg.t.join_key(b)) continue;
+      const std::vector<double> point = CanonicalPoint(cfg, a, b);
+      canon.insert(canon.end(), point.begin(), point.end());
+      ids.emplace_back(a, b);
+    }
+  }
+  PointView view{canon.data(), ids.size(), k};
+  std::vector<std::pair<RowId, RowId>> skyline;
+  for (uint32_t idx : SkylineReference(view)) {
+    skyline.push_back(ids[idx]);
+  }
+  std::sort(skyline.begin(), skyline.end());
+  return skyline;
 }
 
 /// The counters that define the pipeline's observable work. Every

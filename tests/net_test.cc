@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -277,6 +278,41 @@ TEST(Wire, FieldGroupsRoundTrip) {
         << "group " << i << ": "
         << DecodeFieldGroup(i, payloads[i]).ToString();
   }
+
+  // The v4 options group: five u8 fields (ordering, push_through,
+  // partitioning, signature_mode, has_seed) and five 8-byte fields
+  // (input/output cells per dim, sigma_hint, seed, fault_instance). Every
+  // one round-trips; max_results stays with the merge and decodes as 0.
+  ProgXeOptions options;
+  options.ordering = OrderingMode::kRandom;
+  options.push_through = true;
+  options.partitioning = PartitioningScheme::kKdTree;
+  options.input_cells_per_dim = 6;
+  options.output_cells_per_dim = 9;
+  options.signature_mode = SignatureMode::kBloom;
+  options.sigma_hint = 0.125;
+  options.seed = 0xfeed;
+  options.fault_instance = 3;
+  options.max_results = 50;
+  std::string buf;
+  WireWriter w(&buf);
+  WriteOptions(options, &w);
+  EXPECT_EQ(buf.size(), 5u + 5u * 8u);
+  WireReader r(buf);
+  ProgXeOptions decoded;
+  ASSERT_TRUE(ReadOptions(&r, &decoded).ok()) << r.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(decoded.ordering, options.ordering);
+  EXPECT_EQ(decoded.push_through, options.push_through);
+  EXPECT_EQ(decoded.partitioning, options.partitioning);
+  EXPECT_EQ(decoded.input_cells_per_dim, options.input_cells_per_dim);
+  EXPECT_EQ(decoded.output_cells_per_dim, options.output_cells_per_dim);
+  EXPECT_EQ(decoded.signature_mode, options.signature_mode);
+  EXPECT_EQ(decoded.sigma_hint, options.sigma_hint);
+  EXPECT_EQ(decoded.seed, options.seed);
+  EXPECT_EQ(decoded.fault_instance, options.fault_instance);
+  EXPECT_EQ(decoded.max_results, 0u);
+  EXPECT_EQ(decoded.refinement_seed, nullptr);
 }
 
 TEST(Wire, RelationRoundTripPreservesEveryBit) {
@@ -392,9 +428,7 @@ struct OptionsFrame {
     w.PutU8(0);         // signature_mode
     w.PutDouble(sigma_hint);
     w.PutU64(0x5eed);   // seed
-    w.PutI64(1000);     // max_output_cells
     w.PutI64(fault_instance);
-    w.PutU64(0);        // max_results
     w.PutU8(has_seed ? 1 : 0);
     if (has_seed) {
       w.PutI64(seed_k);
@@ -781,8 +815,8 @@ TEST(Net, LinkWithUnclaimedReplyIsNeverPooled) {
 }
 
 // The handshake is an exact match: a kHello with a foreign magic or any
-// other version (2 included) gets kError and a closed link, and the worker
-// goes on serving well-formed pools.
+// other version (the previous layouts 2 and 3 included) gets kError and a
+// closed link, and the worker goes on serving well-formed pools.
 TEST(Net, HandshakeRejectsWrongMagicAndVersion) {
   auto worker = MustStartWorker();
   const std::string endpoint = Endpoint(*worker);
@@ -792,7 +826,8 @@ TEST(Net, HandshakeRejectsWrongMagicAndVersion) {
     uint16_t version;
   };
   for (const Hello& hello : {Hello{"wrong magic", kWireMagic ^ 1u, kWireVersion},
-                             Hello{"version 2", kWireMagic, 2}}) {
+                             Hello{"version 2", kWireMagic, 2},
+                             Hello{"version 3", kWireMagic, 3}}) {
     auto fd = DialTcp(endpoint, std::chrono::milliseconds(2000));
     ASSERT_TRUE(fd.ok()) << fd.status().ToString();
     std::string payload;
@@ -828,7 +863,7 @@ TEST(Net, HandshakeRejectsWrongMagicAndVersion) {
   std::vector<ResultTuple> batch;
   std::vector<double> bound;
   do {
-    (*stream)->StartPump(0, 0);
+    (*stream)->StartPump(0);
     (*stream)->FinishPump(&batch);
     remote.insert(remote.end(), batch.begin(), batch.end());
   } while ((*stream)->last_status().ok() &&
@@ -1005,6 +1040,232 @@ TEST(Net, NoCheckpointRetryRecoversViaFullReplay) {
   EXPECT_GT(coverage.retries, 0u) << "the kill must displace shards";
   EXPECT_EQ(coverage.replay_pairs_saved, 0u)
       << "checkpoint_retry=false must not ship checkpoints";
+}
+
+// Loopback leg of the tie-replay check: a twin-heavy query (every R row
+// duplicated, so local skylines hold distinct pairs with equal points) on
+// two workers, one killed mid-stream. The survivor's replays are dropped by
+// their own keys and every tie twin is delivered exactly once.
+TEST(Net, WorkerKillWithTiesDeliversEveryTwinOnce) {
+  Rng rng(0x71e6);
+  const Config cfg = test::MakeTwinConfig(&rng, /*high_sigma=*/false);
+  const IdSet reference = test::SkylineOracle(cfg);
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+
+  auto doomed = MustStartWorker();
+  auto survivor = MustStartWorker();
+  ShardOptions distributed;
+  distributed.num_shards = 4;
+  distributed.workers = {Endpoint(*doomed), Endpoint(*survivor)};
+  distributed.max_retries = 8;
+  distributed.retry_backoff = std::chrono::milliseconds(1);
+  auto stream = OpenProgXeStream(cfg.query(), options, distributed);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+
+  // Kill once a third of the answer is out, so the displaced shards have
+  // delivered (tied) pairs that their replays re-derive.
+  std::vector<ResultTuple> batch;
+  IdSet delivered;
+  while (!(*stream)->Finished()) {
+    (*stream)->NextBatch(0, 128, &batch);
+    for (const ResultTuple& res : batch) {
+      delivered.emplace_back(res.r_id, res.t_id);
+    }
+    if (doomed != nullptr && delivered.size() * 3 >= reference.size()) {
+      doomed->Stop();
+      doomed.reset();
+    }
+  }
+  std::sort(delivered.begin(), delivered.end());
+  EXPECT_EQ(delivered, reference);
+  EXPECT_TRUE((*stream)->last_status().ok());
+  EXPECT_TRUE((*stream)->coverage().complete());
+  EXPECT_GT((*stream)->coverage().retries, 0u) << "the kill must displace shards";
+}
+
+/// A relay between a coordinator and a real worker that plays a worker
+/// which is killed once and then lies. Link 0 is severed at the first
+/// kPump after it delivered a pair (the kill). On link 1, the replaying
+/// incarnation, the first checkpoint shipped while both links together
+/// carried more distinct pairs than link 1 alone gets `delivered` inflated
+/// to that distinct count and `frontier_epoch` set to kLieEpoch; link 1 is
+/// then severed at its next kPump. Every later kOpenShard is inspected for
+/// the lie.
+class LyingRelay {
+ public:
+  static constexpr uint64_t kLieEpoch = 0x11e11e11e;
+
+  LyingRelay(ListenSocket listener, std::string worker)
+      : worker_(std::move(worker)),
+        listen_fd_(listener.fd),
+        port_(listener.port),
+        thread_([this] { Run(); }) {}
+  ~LyingRelay() { Stop(); }
+  LyingRelay(const LyingRelay&) = delete;
+  LyingRelay& operator=(const LyingRelay&) = delete;
+
+  /// Stops accepting and waits for the relay thread (call after the
+  /// coordinator's pool has closed its links). Idempotent.
+  void Stop() {
+    if (!thread_.joinable()) return;
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    thread_.join();
+    CloseFd(listen_fd_);
+  }
+
+  std::string endpoint() const { return "127.0.0.1:" + std::to_string(port_); }
+  int links() const { return links_; }
+  bool lied() const { return lie_sent_; }
+  bool lie_reshipped() const { return lie_reshipped_; }
+
+ private:
+  void Run() {
+    while (true) {
+      auto client = AcceptTcp(listen_fd_);
+      if (!client.ok()) return;
+      auto upstream = DialTcp(worker_, std::chrono::milliseconds(2000));
+      if (upstream.ok()) {
+        Relay(links_, *client, *upstream);
+        CloseFd(*upstream);
+      }
+      CloseFd(*client);
+      ++links_;
+    }
+  }
+
+  void Relay(int link, int client, int upstream) {
+    constexpr std::chrono::milliseconds kDeadline{10000};
+    uint64_t sent = 0;  // pairs this link delivered
+    while (true) {
+      MsgType type;
+      std::string payload;
+      if (!RecvFrame(client, &type, &payload, kDeadline).ok()) return;
+      if (type == MsgType::kPump &&
+          ((link == 0 && sent > 0) || (link == 1 && lie_sent_))) {
+        return;
+      }
+      if (type == MsgType::kOpenShard && ShipsTheLie(payload)) {
+        lie_reshipped_ = true;
+      }
+      if (!SendFrame(upstream, type, payload).ok()) return;
+      MsgType reply_type;
+      std::string reply;
+      do {
+        if (!RecvFrame(upstream, &reply_type, &reply, kDeadline).ok()) return;
+        if (reply_type == MsgType::kPumpResult) {
+          MaybeLie(link, &reply, &sent);
+        }
+        if (!SendFrame(client, reply_type, reply).ok()) return;
+      } while (reply_type == MsgType::kHeartbeat);
+    }
+  }
+
+  /// Records the batch of a kPumpResult and, on link 1, rewrites its
+  /// checkpoint into the lie.
+  void MaybeLie(int link, std::string* reply, uint64_t* sent) {
+    WireReader r(*reply);
+    Status remote;
+    std::vector<ResultTuple> batch;
+    bool has_bound = false;
+    std::vector<double> bound;
+    ProgXeStats stats;
+    uint8_t has_checkpoint = 0;
+    if (!ReadStatusPayload(&r, &remote).ok() || !remote.ok() ||
+        !ReadResultBatch(&r, &batch).ok() ||
+        !ReadWatermark(&r, &has_bound, &bound).ok() ||
+        !ReadStats(&r, &stats).ok() || !r.GetU8(&has_checkpoint)) {
+      return;
+    }
+    for (const ResultTuple& res : batch) seen_.emplace(res.r_id, res.t_id);
+    *sent += batch.size();
+    if (link != 1 || lie_sent_ || has_checkpoint == 0 ||
+        seen_.size() <= *sent) {
+      return;
+    }
+    // The checkpoint group opens with u32 k, u64 frontier_epoch, u64
+    // delivered: patch the two u64 fields in place.
+    const size_t at = reply->size() - r.remaining();
+    PatchU64(reply, at + 4, kLieEpoch);
+    PatchU64(reply, at + 12, seen_.size());
+    lie_sent_ = true;
+  }
+
+  static void PatchU64(std::string* buf, size_t at, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      (*buf)[at + static_cast<size_t>(i)] =
+          static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  }
+
+  /// True iff a kOpenShard payload resumes from the lie.
+  static bool ShipsTheLie(const std::string& payload) {
+    WireReader r(payload);
+    uint32_t shard = 0;
+    ProgXeOptions options;
+    MapSpec map;
+    Preference pref;
+    Relation rel_r{Schema::Anonymous(0)};
+    Relation rel_t{Schema::Anonymous(0)};
+    uint8_t has_resume = 0;
+    SessionCheckpoint resume;
+    return r.GetU32(&shard) && ReadOptions(&r, &options).ok() &&
+           ReadMapSpec(&r, &map).ok() && ReadPreference(&r, &pref).ok() &&
+           ReadRelation(&r, &rel_r).ok() && ReadRelation(&r, &rel_t).ok() &&
+           r.GetU8(&has_resume) && has_resume != 0 &&
+           ReadCheckpoint(&r, &resume).ok() &&
+           resume.frontier_epoch == kLieEpoch;
+  }
+
+  // Relay-thread state, read by the test only after Stop().
+  std::set<std::pair<RowId, RowId>> seen_;
+  int links_ = 0;
+  bool lie_sent_ = false;
+  bool lie_reshipped_ = false;
+  const std::string worker_;
+  const int listen_fd_;
+  const int port_;
+  std::thread thread_;  // last: it uses every member above
+};
+
+// A checkpoint may claim at most the deliveries of the incarnation that
+// shipped it. After a replay, a worker claiming more (here: every distinct
+// pair the shard ever delivered, which a count across incarnations would
+// accept) is inconsistent: the coordinator must drop that checkpoint, never
+// resume a later incarnation from it, and still finish bit-identically.
+TEST(Net, InflatedCheckpointAfterReplayIsDropped) {
+  Rng rng(0xd160);
+  const Config cfg = MakeConfig(&rng, false, false);
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  auto session = ProgXeSession::Open(cfg.query(), options);
+  ASSERT_TRUE(session.ok());
+  const IdSet reference = SortedIds(DrainStream(session->get(), 0, 0));
+
+  auto worker = MustStartWorker();
+  auto listener = ListenTcp(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  LyingRelay relay(*listener, Endpoint(*worker));
+  ShardOptions distributed;
+  distributed.num_shards = 1;
+  distributed.workers = {relay.endpoint()};
+  distributed.max_retries = 4;
+  distributed.retry_backoff = std::chrono::milliseconds(0);
+  auto stream = OpenProgXeStream(cfg.query(), options, distributed);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  const IdSet delivered = SortedIds(DrainStream(stream->get(), 0, 128));
+  const Status status = (*stream)->last_status();
+  const uint64_t retries = (*stream)->coverage().retries;
+  stream->reset();  // closes the pooled link, ending the relay's last link
+  relay.Stop();
+
+  EXPECT_EQ(delivered, reference);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(relay.lied()) << "link 1 never shipped a checkpoint to inflate";
+  EXPECT_EQ(retries, 2u);
+  EXPECT_GE(relay.links(), 3);
+  EXPECT_FALSE(relay.lie_reshipped())
+      << "the inflated checkpoint was adopted and resumed from";
 }
 
 // Loopback run under seeded net.send/net.recv/net.frame chaos: torn

@@ -434,13 +434,12 @@ TEST(ShardRecovery, SchedulerServedRetriesAreExactAndCounted) {
 
 // The backoff schedule is a pure function of (options, seed, shard,
 // consecutive_failures): the same seed reproduces the same schedule bit for
-// bit, every delay stays inside the documented ±retry_jitter envelope
-// around the capped exponential base, and distinct shards land on distinct
+// bit, every delay stays inside the ±kRetryJitter (25%) envelope around
+// the capped exponential base, and distinct shards land on distinct
 // offsets so simultaneously-sick shards desynchronize their re-opens.
 TEST(ShardRecovery, JitteredBackoffIsDeterministicAndBounded) {
   ShardOptions opts;
   opts.retry_backoff = std::chrono::milliseconds(10);
-  opts.retry_jitter = 0.25;
 
   std::vector<std::chrono::nanoseconds> first_attempts;
   for (uint64_t seed : {uint64_t{0}, uint64_t{42}, uint64_t{0xfeed}}) {
@@ -471,17 +470,7 @@ TEST(ShardRecovery, JitteredBackoffIsDeterministicAndBounded) {
       first_attempts.begin();
   EXPECT_GT(distinct, 1);
 
-  // jitter = 0 restores the exact exponential schedule, including the cap.
-  opts.retry_jitter = 0.0;
-  EXPECT_EQ(JitteredRetryBackoff(opts, 7, 2, 1),
-            std::chrono::nanoseconds(std::chrono::milliseconds(10)));
-  EXPECT_EQ(JitteredRetryBackoff(opts, 7, 2, 4),
-            std::chrono::nanoseconds(std::chrono::milliseconds(80)));
-  EXPECT_EQ(JitteredRetryBackoff(opts, 7, 2, 20),
-            std::chrono::nanoseconds(std::chrono::milliseconds(640)));
-
   // A zero base backoff stays zero regardless of jitter.
-  opts.retry_jitter = 0.25;
   opts.retry_backoff = std::chrono::milliseconds(0);
   EXPECT_EQ(JitteredRetryBackoff(opts, 7, 2, 3).count(), 0);
 }
@@ -526,6 +515,49 @@ TEST(ShardRecovery, TotalRetryBudgetCapsRecovery) {
     } else {
       EXPECT_EQ(handle->state(), QueryState::kFailed);
       EXPECT_TRUE(handle->status().IsUnavailable());
+    }
+  }
+}
+
+// Replay idempotence with exact ties. Every R row is duplicated, so shard
+// 0's local skyline holds distinct pairs with equal canonical points; the
+// shard is killed mid-run. The accepted frontier must drop each replayed
+// pair (its own key is live or strictly dominated) yet keep every tie twin
+// (a distinct key): the delivered multiset equals the reference skyline,
+// with no duplicate and no lost tie, with and without checkpointed resume.
+TEST(ShardRecovery, TiedReplayDeliversEveryTwinExactlyOnce) {
+  Rng rng(0x71e5);
+  const Config cfg = test::MakeTwinConfig(&rng, /*high_sigma=*/false);
+  const IdSet reference = test::SkylineOracle(cfg);
+  for (int num_shards : {2, 4}) {
+    // The premise: shard 0's part of the skyline holds an exact tie.
+    std::vector<std::vector<double>> points;
+    for (const auto& [r_id, t_id] : reference) {
+      if (ShardOfKey(cfg.r.join_key(r_id), num_shards) == 0) {
+        points.push_back(test::CanonicalPoint(cfg, r_id, t_id));
+      }
+    }
+    std::sort(points.begin(), points.end());
+    ASSERT_NE(std::adjacent_find(points.begin(), points.end()), points.end())
+        << "K=" << num_shards << ": shard 0 holds no tied skyline pairs";
+
+    for (const bool checkpoint_retry : {true, false}) {
+      ProgXeOptions faulty;
+      faulty.seed = 0xfeed;
+      faulty.faults = MustParse("shard.next_batch:shard=0,skip=3,max=1", 5);
+      ShardOptions shard_options;
+      shard_options.num_shards = num_shards;
+      shard_options.max_retries = 4;
+      shard_options.retry_backoff = std::chrono::milliseconds(0);
+      shard_options.checkpoint_retry = checkpoint_retry;
+      auto stream = ShardedStream::Open(cfg.query(), faulty, shard_options);
+      ASSERT_TRUE(stream.ok());
+      const IdSet delivered = SortedIds(DrainStream(stream->get(), 0, 64));
+      EXPECT_EQ(delivered, reference)
+          << "K=" << num_shards << " checkpoint_retry=" << checkpoint_retry;
+      EXPECT_EQ(faulty.faults->fires(), 1) << "shard 0 must die mid-run";
+      EXPECT_EQ((*stream)->coverage().retries, 1u);
+      EXPECT_TRUE((*stream)->last_status().ok());
     }
   }
 }
@@ -728,40 +760,6 @@ TEST(CheckpointRecovery, CheckpointedRetryReplaysLessAndStaysExact) {
   // At least one kill must land after a resumable boundary with processed
   // regions behind it, or the savings path was never exercised.
   EXPECT_GT(exercised, 0);
-}
-
-// The per-shard replay-dedup set is sized by delivered results, so it must
-// be freed eagerly: as each shard drains healthy its set drops to zero
-// instead of lingering until stream teardown.
-TEST(CheckpointRecovery, DedupSetsFreeAsShardsFinishHealthy) {
-  Rng rng(0xc4ef);
-  const Config cfg = MakeConfig(&rng, false, true);
-  ProgXeOptions options;
-  options.seed = 0xfeed;
-  const IdSet reference = UnshardedReference(cfg, options);
-
-  ShardOptions shard_options;
-  shard_options.num_shards = 4;
-  shard_options.max_retries = 2;  // enables the dedup sets
-  shard_options.retry_backoff = std::chrono::milliseconds(0);
-  auto stream = ShardedStream::Open(cfg.query(), options, shard_options);
-  ASSERT_TRUE(stream.ok());
-
-  size_t peak = 0;
-  std::vector<ResultTuple> batch;
-  IdSet delivered;
-  while (!(*stream)->Finished()) {
-    (*stream)->NextBatch(0, 256, &batch);
-    peak = std::max(peak, (*stream)->dedup_entries());
-    for (const ResultTuple& res : batch) {
-      delivered.emplace_back(res.r_id, res.t_id);
-    }
-  }
-  std::sort(delivered.begin(), delivered.end());
-  EXPECT_EQ(delivered, reference);
-  EXPECT_GT(peak, 0u) << "dedup sets never filled - vacuous test";
-  EXPECT_EQ((*stream)->dedup_entries(), 0u)
-      << "healthy-finished shards must free their dedup sets";
 }
 
 }  // namespace

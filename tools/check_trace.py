@@ -14,10 +14,15 @@ exercised the expected subsystems:
   * timestamps are non-negative (the recorder uses a per-run monotonic
     origin);
   * `otherData.dropped_events` (when present) is a non-negative integer;
-  * every category named in --require appears on at least one span/instant.
+  * every category named in --require appears on at least one span/instant;
+  * with --min_coverage, span coverage is at least that ratio: the summed
+    duration of top-level spans (those not nested in another span of their
+    thread) over the summed extent (first span start to last span end) of
+    every thread that recorded a span. Idle gaps inside a thread's extent
+    count as uncovered, so a drop means query time no span attributes.
 
 Usage: check_trace.py <trace.json> [--require=prepare,region,sched,shard]
-                                   [--min_events=1]
+                                   [--min_events=1] [--min_coverage=0.9]
 """
 
 import json
@@ -30,12 +35,36 @@ def fail(msg):
     raise SystemExit(f"FAIL: {msg}")
 
 
+def span_coverage(spans):
+    """Top-level span time / extent, summed over the threads in `spans`
+    (a list of (tid, start, end) tuples)."""
+    by_tid = {}
+    for tid, start, end in spans:
+        by_tid.setdefault(tid, []).append((start, end))
+    covered = extent = 0.0
+    for ss in by_tid.values():
+        # Sorted by start, longest first: a span ending inside the current
+        # top-level one is nested in it.
+        ss.sort(key=lambda s: (s[0], -s[1]))
+        top_end = None
+        for start, end in ss:
+            if top_end is not None and end <= top_end:
+                continue
+            covered += end - start
+            top_end = end
+        extent += max(e for _, e in ss) - ss[0][0]
+    return covered / extent if extent > 0 else 0.0
+
+
 def main(argv):
     path = None
     required = []
     min_events = 1
+    min_coverage = None
     for arg in argv[1:]:
-        if arg.startswith("--require="):
+        if arg.startswith("--min_coverage="):
+            min_coverage = float(arg.split("=", 1)[1])
+        elif arg.startswith("--require="):
             required = [c for c in arg.split("=", 1)[1].split(",") if c]
         elif arg.startswith("--min_events="):
             min_events = int(arg.split("=", 1)[1])
@@ -58,7 +87,7 @@ def main(argv):
         fail("missing displayTimeUnit")
 
     seen_cats = set()
-    spans = 0
+    spans = []
     for i, ev in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(ev, dict):
@@ -80,7 +109,7 @@ def main(argv):
             dur = ev.get("dur")
             if not isinstance(dur, (int, float)) or dur < 0:
                 fail(f"{where}: span without a valid dur ({dur!r})")
-            spans += 1
+            spans.append((ev["tid"], ts, ts + dur))
         elif ph == "i" and "s" not in ev:
             fail(f"{where}: instant without a scope")
         cat = ev.get("cat")
@@ -103,8 +132,13 @@ def main(argv):
         fail(f"required categories absent from the trace: "
              f"{','.join(missing)} (saw: {','.join(sorted(seen_cats))})")
 
-    print(f"OK: {len(real)} events ({spans} spans), "
-          f"{dropped} dropped, categories: {','.join(sorted(seen_cats))}")
+    coverage = span_coverage(spans)
+    if min_coverage is not None and coverage < min_coverage:
+        fail(f"span coverage {coverage:.4f} < {min_coverage}")
+
+    print(f"OK: {len(real)} events ({len(spans)} spans), "
+          f"{dropped} dropped, span coverage {coverage:.4f}, "
+          f"categories: {','.join(sorted(seen_cats))}")
 
 
 if __name__ == "__main__":
